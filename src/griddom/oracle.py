@@ -6,8 +6,8 @@ as oracles for it:
   * exhaustive search over vertex subsets (grids up to 20 cells), returning
     the lexicographically least minimum witness;
   * a broken-profile dynamic program sweeping along the longer dimension,
-    one cell at a time, with a dense base-3 (domination) or base-4
-    ([1,2]-domination) state encoding over a frontier of width min(m, n).
+    one cell at a time, over a frontier of width w = min(m, n) whose states
+    are base-3 (domination) or base-4 ([1,2]-domination) codes.
 
 Frontier states track, per cell: 0 = member; then for plain domination
 1 = dominated non-member, 2 = not yet dominated; for [1,2]-domination
@@ -15,11 +15,17 @@ Frontier states track, per cell: 0 = member; then for plain domination
 third covering neighbor is pruned immediately). A cell leaves the frontier
 when its right neighbor is decided, at which point it must not be uncovered.
 
-Because a member cell is exactly "new digit 0", the place / no-place branches
-write disjoint slices of the next layer, so each cell transition is a few
-reshaped slice-min passes over a dense numpy vector, with no scatter.
-Back-pointers cost one byte per (cell, state) and are dropped above a byte
-budget, in which case only the value is returned.
+The transition rule is one vectorised successor function per variant. Per
+solve, a search from the initial state finds the codes that can enter each
+row offset r (a small fraction of the 3**w or 4**w dense codes) and inverts
+the successor map into predecessor tables: preds[k][j] is the k-th
+predecessor of reachable state j. States are ordered by predecessor count,
+so preds[k] is a prefix and holds no padding. Each cell step is then a
+gather-min over at most five (domination) or three ([1,2]) such rows, plus 1
+on the states whose new digit r is 0, i.e. where a member is placed.
+Back-pointers are the one-byte k of the chosen predecessor per (cell,
+reachable state), and are dropped above a byte budget, in which case only
+the value is returned.
 """
 
 from dataclasses import dataclass
@@ -43,6 +49,12 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
+    """One exact solve. `work` counts subsets tried (brute force) or
+    (reachable state, cell) pairs relaxed (profile DP). For the DP, `states`
+    is the largest reachable frontier set over the row offsets and
+    `backpointer_bytes` the witness log size compared with the budget; both
+    are 0 for brute force."""
+
     dims: GridDims
     variant: str
     value: int
@@ -50,6 +62,8 @@ class OracleResult:
     method: str
     work: int
     witness_dropped: bool = False
+    states: int = 0
+    backpointer_bytes: int = 0
 
 
 def _check_variant(variant: str) -> None:
@@ -120,134 +134,143 @@ def exact_gamma_bruteforce(dims: GridDims, variant: str = "domination") -> Oracl
 # Broken-profile dynamic program
 # ---------------------------------------------------------------------------
 
-def _cell_step_domination(V: np.ndarray, r: int, w: int, keep_bp: bool):
-    B = 3
-    hi = B ** (w - 1 - r)
-    new = np.full(V.shape, _INF, dtype=np.int32)
-    bp = np.full(V.shape, 255, dtype=np.uint8) if keep_bp else None
+def _successors_domination(codes: np.ndarray, r: int):
+    """(place, no place) successors of frontier codes entering row r.
+
+    A pruned move maps to -1: not placing is pruned when the left neighbor,
+    leaving the frontier, is still undominated (old digit 2).
+    """
+    pr = 3 ** r
+    d = codes // pr % 3
+    cleared = codes - d * pr
     if r == 0:
-        V2 = V.reshape(hi, B)
-        n2 = new.reshape(hi, B)
-        # place: any old digit; the left neighbor, leaving the frontier, is saved
-        n2[:, 0] = V2.min(axis=1) + 1
-        # no place: old digit 2 would abandon the left neighbor
-        n2[:, 1] = V2[:, 0]            # dominated by the left member
-        n2[:, 2] = V2[:, 1]            # still waiting for right/down
-        if keep_bp:
-            b2 = bp.reshape(hi, B)
-            b2[:, 0] = 1 | (V2.argmin(axis=1).astype(np.uint8) << 1)
-            b2[:, 1] = 0
-            b2[:, 2] = 1 << 1
-        return new, bp
-    l2 = B ** (r - 1)
-    V4 = V.reshape(hi, B, B, l2)       # axes: high digits, digit r, digit r-1, low
-    n4 = new.reshape(hi, B, B, l2)
-    # -- place (new digit r = 0): up digit 2 -> 1, others unchanged
-    M = V4.min(axis=1)                 # over old digit r, any value allowed
-    n4[:, 0, 0, :] = M[:, 0, :] + 1
-    up1 = M[:, 1, :]
-    up2 = M[:, 2, :]
-    take2 = up2 < up1                  # tie keeps the already-dominated branch
-    n4[:, 0, 1, :] = np.where(take2, up2, up1) + 1
-    # -- no place (new digit r in {1,2}): old digit r in {0,1} only
-    n4[:, 1, 0, :] = np.minimum(V4[:, 0, 0, :], V4[:, 1, 0, :])   # up member
-    n4[:, 1, 1:, :] = V4[:, 0, 1:, :]                             # left member
-    n4[:, 2, 1:, :] = V4[:, 1, 1:, :]                             # uncovered yet
-    if keep_bp:
-        b4 = bp.reshape(hi, B, B, l2)
-        Marg = V4.argmin(axis=1).astype(np.uint8)
-        b4[:, 0, 0, :] = 1 | (Marg[:, 0, :] << 1)
-        b4[:, 0, 1, :] = 1 | (np.where(take2, Marg[:, 2, :], Marg[:, 1, :]) << 1) \
-                           | (take2.astype(np.uint8) << 3)
-        b4[:, 1, 0, :] = (V4[:, 1, 0, :] < V4[:, 0, 0, :]).astype(np.uint8) << 1
-        b4[:, 1, 1:, :] = 0
-        b4[:, 2, 1:, :] = 1 << 1
-    return new, bp
+        place = cleared
+        up_member = False
+    else:
+        pu = pr // 3
+        up = codes // pu % 3
+        place = cleared - (up == 2) * pu     # the member dominates its up neighbor
+        up_member = up == 0
+    no_place = np.where(d == 2, -1,
+                        cleared + np.where((d == 0) | up_member, 1, 2) * pr)
+    return place, no_place
 
 
-def _cell_step_one_two(V: np.ndarray, r: int, w: int, keep_bp: bool):
-    B = 4
-    hi = B ** (w - 1 - r)
-    new = np.full(V.shape, _INF, dtype=np.int32)
-    bp = np.full(V.shape, 255, dtype=np.uint8) if keep_bp else None
-    sel = np.array([0, 1, 3], dtype=np.uint8)      # old digits compatible with placing
+def _successors_one_two(codes: np.ndarray, r: int):
+    """(place, no place) successors of frontier codes entering row r.
+
+    Placing is pruned when it would cover the left or up neighbor a third
+    time (digit 2); not placing is pruned when the left neighbor leaves the
+    frontier uncovered (digit 3). A fresh non-member's digit is its count of
+    member neighbors so far: 0 -> 3, 1 -> 1, 2 -> 2.
+    """
+    pr = 4 ** r
+    d = codes // pr % 4
+    cleared = codes - d * pr
     if r == 0:
-        V2 = V.reshape(hi, B)
-        n2 = new.reshape(hi, B)
-        stack = np.stack([V2[:, 0], V2[:, 1], V2[:, 3]], axis=1)
-        n2[:, 0] = stack.min(axis=1) + 1
-        n2[:, 1] = V2[:, 0]                        # covered once by the left member
-        n2[:, 3] = np.minimum(V2[:, 1], V2[:, 2])  # uncovered so far
-        if keep_bp:
-            b2 = bp.reshape(hi, B)
-            b2[:, 0] = 1 | (sel[stack.argmin(axis=1)] << 1)
-            b2[:, 1] = 0
-            b2[:, 3] = ((V2[:, 2] < V2[:, 1]).astype(np.uint8) + 1) << 1
-        return new, bp
-    l2 = B ** (r - 1)
-    V4 = V.reshape(hi, B, B, l2)
-    n4 = new.reshape(hi, B, B, l2)
-    # -- place: old digit r in {0,1,3}; up digit maps 0->0, 1->2, 3->1, 2 pruned
-    stack = np.stack([V4[:, 0], V4[:, 1], V4[:, 3]], axis=1)    # (hi, 3, B, l2)
-    M = stack.min(axis=1)
-    for nd_up, od_up in ((0, 0), (2, 1), (1, 3)):
-        n4[:, 0, nd_up, :] = M[:, od_up, :] + 1
-    # -- no place: old digit r in {0,1,2}; fresh count = left-member + up-member
-    n4[:, 2, 0, :] = V4[:, 0, 0, :]
-    n4[:, 1, 0, :] = np.minimum(V4[:, 1, 0, :], V4[:, 2, 0, :])
-    n4[:, 1, 1:, :] = V4[:, 0, 1:, :]
-    n4[:, 3, 1:, :] = np.minimum(V4[:, 1, 1:, :], V4[:, 2, 1:, :])
-    if keep_bp:
-        b4 = bp.reshape(hi, B, B, l2)
-        Marg = sel[stack.argmin(axis=1)]
-        for nd_up, od_up in ((0, 0), (2, 1), (1, 3)):
-            b4[:, 0, nd_up, :] = 1 | (Marg[:, od_up, :] << 1)
-        b4[:, 2, 0, :] = 0
-        b4[:, 1, 0, :] = ((V4[:, 2, 0, :] < V4[:, 1, 0, :]).astype(np.uint8) + 1) << 1
-        b4[:, 1, 1:, :] = 0
-        b4[:, 3, 1:, :] = ((V4[:, 2, 1:, :] < V4[:, 1, 1:, :]).astype(np.uint8) + 1) << 1
-    return new, bp
+        place = np.where(d == 2, -1, cleared)
+        members = (d == 0) * 1
+    else:
+        pu = pr // 4
+        up = codes // pu % 4
+        covered = np.array((0, 2, 2, 1))[up]    # up digit after one more cover
+        place = np.where((d == 2) | (up == 2), -1, cleared + (covered - up) * pu)
+        members = (d == 0) * 1 + (up == 0)
+    no_place = np.where(d == 3, -1, cleared + np.array((3, 1, 2))[members] * pr)
+    return place, no_place
 
 
-def _final_min(values: np.ndarray, base: int, w: int, bad: int):
-    """Min (and argmin state) over states with no digit equal to `bad`."""
-    cube = values.reshape((base,) * w)
-    view = cube[(slice(0, bad),) * w]
-    flat = int(np.argmin(view))
-    best = int(view.reshape(-1)[flat])
-    digits_rev = np.unravel_index(flat, (bad,) * w)
-    state = 0
-    for j, d in enumerate(digits_rev):     # axis 0 is the most significant digit
-        state += int(d) * base ** (w - 1 - j)
-    return best, state
+# variant -> (digit base, digit no final state may hold, successor rule)
+_RULES = {
+    "domination": (3, 2, _successors_domination),
+    "one-two": (4, 3, _successors_one_two),
+}
 
 
-def _reconstruct(bps, final_state: int, width: int, length: int, base: int):
+def _reachable_states(successors, base: int, width: int, init: int):
+    """Sorted frontier codes that can enter each row offset r, in any column.
+
+    Only newly found states are propagated, so the search stops at the first
+    step that finds nothing new: every later step would start from nothing.
+    One dense seen-mask, one bit per row offset, is the only B**w array.
+    """
+    seen = np.zeros(base ** width, dtype=np.min_scalar_type((1 << width) - 1))
+    seen[init] = 1
+    # int32 codes (up to 3**19 or 4**15) halve the memory and speed the digit
+    # arithmetic
+    code = np.int32 if base ** width <= 2**31 else np.int64
+    found = [[np.array([init], dtype=code)]] + [[] for _ in range(width - 1)]
+    fresh, r = found[0][0], 0
+    while fresh.size:
+        nxt = (r + 1) % width
+        cand = np.concatenate(successors(fresh, r)).astype(code, copy=False)
+        cand = cand[cand >= 0]
+        cand = np.sort(cand[(seen[cand] & (1 << nxt)) == 0])
+        fresh = cand[np.diff(cand, prepend=-1) != 0]
+        seen[fresh] |= 1 << nxt
+        found[nxt].append(fresh)
+        r = nxt
+    del seen
+    for r, chunks in enumerate(found):
+        found[r] = np.concatenate(chunks)
+        found[r].sort()
+    return found
+
+
+def _predecessor_tables(successors, states, base: int, width: int):
+    """Per row offset r: (preds, place) over the states leaving row r.
+
+    Those states are put in table order: most predecessors first, ties by
+    code. preds[k][j] is the table-order index, among the states entering
+    row r, of the k-th predecessor of state j; preds[k] covers only the
+    states with more than k predecessors, a prefix of the table order, so no
+    entry is padding. place[j] is true where the new digit r is 0, i.e. the
+    cell becomes a member. Also returns the codes entering row 0 in table
+    order.
+
+    One dense position lookup, refilled per r, is the only B**w array, and
+    each states[r] but the first is released once its tables are built.
+    """
+    pos = np.empty(base ** width, dtype=np.int32)
+    tables = []
+    rank = None                   # sorted index -> table index, states[r]
+    for r in range(width):
+        src, dst = states[r], states[(r + 1) % width]
+        if r:
+            states[r] = None
+        pos[dst] = np.arange(dst.size, dtype=np.int32)
+        targets = np.concatenate(successors(src, r))
+        ok = targets >= 0
+        sources = np.tile(np.arange(src.size, dtype=np.int32), 2)[ok]
+        if r:
+            sources = rank[sources]
+        targets = pos[targets[ok]]
+        counts = np.bincount(targets, minlength=dst.size)
+        order = np.argsort(-counts, kind="stable")
+        rank = np.empty(dst.size, dtype=np.int32)
+        rank[order] = np.arange(dst.size, dtype=np.int32)
+        targets = rank[targets]
+        by_target = np.argsort(targets, kind="stable")
+        targets, sources = targets[by_target], sources[by_target]
+        counts = counts[order]
+        k = np.arange(targets.size) - (np.cumsum(counts) - counts)[targets]
+        preds = [sources[k == i] for i in range(counts[0])]
+        tables.append((preds, dst[order] // base ** r % base == 0))
+    for p in tables[0][0]:        # row 0's sources get their order last
+        p[:] = rank[p]
+    return tables, states[0][order]
+
+
+def _reconstruct(tables, bps, final_index: int, width: int):
+    """Follow the back-pointers from the final state to the initial one."""
     members = []
-    state = final_state
-    for idx in range(width * length - 1, -1, -1):
-        r = idx % width
-        col = idx // width
-        b = int(bps[idx][state])
-        if b == 255:
-            raise AssertionError("back-pointer chain broken")
-        action = b & 1
-        old_dr = (b >> 1) & 3
-        up_was2 = (b >> 3) & 1
-        pr = base ** r
-        d_r = (state // pr) % base
-        state += (old_dr - d_r) * pr
-        if action:
-            members.append((r, col))
-            if r > 0:
-                pr1 = base ** (r - 1)
-                d_up = (state // pr1) % base
-                if base == 3:
-                    old_up = 2 if (d_up == 1 and up_was2) else d_up
-                else:
-                    old_up = {0: 0, 2: 1, 1: 3}[d_up]
-                state += (old_up - d_up) * pr1
-    return members
+    index = final_index
+    for step in range(len(bps) - 1, -1, -1):
+        preds, place = tables[step % width]
+        if place[index]:
+            members.append((step % width, step // width))
+        index = int(preds[bps[step][index]][index])
+    return members, index
 
 
 def exact_gamma_dp(
@@ -261,39 +284,73 @@ def exact_gamma_dp(
 
     The sweep always runs along the longer dimension so the frontier width is
     min(m, n). Exceeding the width cap raises CapacityError naming the state
-    count the request would need. When the back-pointer log would exceed its
-    byte budget (or return_witness is false) only the value is computed and
-    the result is flagged witness_dropped.
+    count the request would need. The DP runs over reachable frontier states
+    only; `work` counts the (reachable state, cell) pairs relaxed, `states`
+    is the largest reachable set over the row offsets, and
+    `backpointer_bytes` is the one-byte-per-pair log size compared with
+    `backpointer_budget`. When the log would exceed the budget (or
+    return_witness is false) only the value is computed and the result is
+    flagged witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
-    base = 3 if variant == "domination" else 4
+    base, bad, successors = _RULES[variant]
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
     if width > cap:
         raise CapacityError(
             f"frontier width {width} exceeds cap {cap}: {base}**{width} = "
             f"{base**width} states per layer"
         )
-    states = base ** width
-    keep_bp = return_witness and states * width * length <= backpointer_budget
-    step = _cell_step_domination if base == 3 else _cell_step_one_two
-    values = np.full(states, _INF, dtype=np.int32)
-    values[(states - 1) // (base - 1)] = 0      # every frontier digit = 1
-    bps = [] if keep_bp else None
-    work = 0
+    init = (base ** width - 1) // (base - 1)      # every frontier digit = 1
+    states = _reachable_states(successors, base, width, init)
+    tables, final_codes = _predecessor_tables(successors, states, base, width)
+    init_index = int(np.flatnonzero(final_codes == init)[0])
+    sizes = [place.size for _, place in tables]
+    log_bytes = sum(sizes) * length
+    keep_bp = return_witness and log_bytes <= backpointer_budget
+    top = max(sizes)
+    values = np.full(top, _INF, dtype=np.int32)
+    values[init_index] = 0
+    spare = np.empty(top, dtype=np.int32)
+    gathered = np.empty(top, dtype=np.int32)
+    better = np.empty(top, dtype=np.uint8)
+    bps = []
     for _col in range(length):
-        for row in range(width):
-            values, bp = step(values, row, width, keep_bp)
-            work += states
+        for preds, place in tables:
+            out = spare[:place.size]
+            head = preds[0].size
+            # every index is in range; "clip" skips the buffered bounds check
+            np.take(values, preds[0], out=out[:head], mode="clip")
+            out[head:] = _INF       # the start state may have no predecessor
+            bp = np.zeros(place.size, dtype=np.uint8) if keep_bp else None
+            for k in range(1, len(preds)):
+                n = preds[k].size
+                cur, cand, less = out[:n], gathered[:n], better[:n]
+                np.take(values, preds[k], out=cand, mode="clip")
+                if keep_bp:
+                    # k rises, so the max keeps the last strictly better k:
+                    # the argmin, ties to the lowest k (a masked copy is
+                    # several times slower when many entries improve)
+                    np.less(cand, cur, out=less)
+                    np.maximum(bp[:n], np.multiply(less, k, out=less), out=bp[:n])
+                np.minimum(cur, cand, out=cur)
+            np.add(out, place, out=out)
+            values, spare = spare, values
             if keep_bp:
                 bps.append(bp)
-    bad = 2 if variant == "domination" else 3
-    value, final_state = _final_min(values, base, width, bad)
+    good = np.ones(final_codes.size, dtype=bool)
+    for j in range(width):
+        good &= final_codes // base ** j % base != bad
+    finals = np.where(good, values[:final_codes.size], _INF)
+    final_index = int(np.argmin(finals))
+    value = int(finals[final_index])
     if value >= int(_INF):
         raise AssertionError("no feasible completion; the DP is inconsistent")
     witness = None
     if keep_bp:
-        cells = _reconstruct(bps, final_state, width, length, base)
+        cells, start = _reconstruct(tables, bps, final_index, width)
+        if start != init_index:
+            raise AssertionError("back-pointer chain broken")
         if dims.m <= dims.n:
             witness = tuple(sorted(Vertex(r + 1, c + 1) for r, c in cells))
         else:
@@ -302,8 +359,9 @@ def exact_gamma_dp(
             raise AssertionError("witness size disagrees with DP value")
     return OracleResult(
         dims=dims, variant=variant, value=value, witness=witness,
-        method="profile-dp", work=work,
+        method="profile-dp", work=sum(sizes) * length,
         witness_dropped=return_witness and not keep_bp,
+        states=max(sizes), backpointer_bytes=log_bytes,
     )
 
 

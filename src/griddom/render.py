@@ -75,6 +75,7 @@ def pattern_to_document(p: PatternSet) -> dict:
         "white": [[r, c] for r, c in sorted(p.white)],
         "gamma": gamma_formula(p.dims) if min(p.dims.m, p.dims.n) >= MIN_SIDE else None,
         "deviations": list(p.deviations),
+        "transposed": p.transposed,
     }
     return doc
 
@@ -91,7 +92,9 @@ def document_to_pattern(doc: dict) -> PatternSet:
     """Parse an interchange document back into a PatternSet.
 
     Provenance tags are constructor metadata and do not survive the round
-    trip; coordinates, dims and applied deviation ids do.
+    trip; coordinates, dims, applied deviation ids and the build orientation
+    do. A missing "transposed" key reads as False; a present one must be a
+    JSON boolean.
     """
     try:
         version = doc["schema_version"]
@@ -99,10 +102,13 @@ def document_to_pattern(doc: dict) -> PatternSet:
         black = [Vertex(int(r), int(c)) for r, c in doc["black"]]
         white = [Vertex(int(r), int(c)) for r, c in doc["white"]]
         deviations = tuple(str(d) for d in doc.get("deviations", []))
+        transposed = doc.get("transposed", False)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed pattern document: {exc}") from exc
     if version != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {version!r}")
+    if not isinstance(transposed, bool):
+        raise DocumentError(f"transposed must be true or false, got {transposed!r}")
     dims = GridDims(m, n)
     for v in black + white:
         if not dims.in_bounds(v):
@@ -110,4 +116,5 @@ def document_to_pattern(doc: dict) -> PatternSet:
     if set(black) & set(white):
         raise DocumentError("black and white lists overlap")
     return PatternSet(dims=dims, black=tuple(sorted(black)),
-                      white=tuple(sorted(white)), deviations=deviations)
+                      white=tuple(sorted(white)), deviations=deviations,
+                      transposed=transposed)

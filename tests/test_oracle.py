@@ -4,6 +4,7 @@ import pytest
 
 from griddom import (CapacityError, GridDims, Vertex, coverage_map,
                      exact_gamma_bruteforce, exact_gamma_dp, oracle_vs_formula)
+from griddom.oracle import DEFAULT_BACKPOINTER_BUDGET
 
 
 def reference_minimum(m, n, variant="domination"):
@@ -72,6 +73,40 @@ def test_dp_12x12_value_and_witness():
     assert res.method == "profile-dp" and res.work > 0
 
 
+def feasible(dims, witness, variant):
+    rep = coverage_map(dims, set(witness))
+    return rep.is_one_two if variant == "one-two" else rep.is_dominating
+
+
+@pytest.mark.parametrize("variant", ["domination", "one-two"])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(1, 10)])
+def test_dp_witness_small_grids(m, n, variant):
+    dims = GridDims(m, n)
+    res = exact_gamma_dp(dims, variant)
+    assert feasible(dims, res.witness, variant)
+    assert len(res.witness) == res.value
+    assert exact_gamma_dp(dims, variant, return_witness=False).value == res.value
+    assert exact_gamma_dp(GridDims(n, m), variant).value == res.value
+
+
+def test_dp_13x13_witness_within_budget():
+    # 40 is the published domination number of the 13x13 grid; the one-byte
+    # log over its reachable states fits the default back-pointer budget
+    res = exact_gamma_dp(GridDims(13, 13), width_cap=13)
+    assert res.value == 40
+    assert not res.witness_dropped and len(res.witness) == 40
+    assert feasible(GridDims(13, 13), res.witness, "domination")
+    assert res.backpointer_bytes == res.work <= DEFAULT_BACKPOINTER_BUDGET
+
+
+def test_dp_reachable_state_counts():
+    # largest reachable frontier set over the row offsets, far below 3**11
+    # and 4**9 dense codes
+    assert exact_gamma_dp(GridDims(11, 11), return_witness=False).states == 21979
+    assert exact_gamma_dp(GridDims(9, 9), "one-two",
+                          return_witness=False).states == 17394
+
+
 def test_dp_deterministic():
     a = exact_gamma_dp(GridDims(6, 9))
     b = exact_gamma_dp(GridDims(6, 9))
@@ -103,6 +138,11 @@ def test_dp_witness_dropped_over_budget():
     assert res.value == full.value
     assert res.witness is None and res.witness_dropped
     assert full.witness is not None and not full.witness_dropped
+    # the log size that was compared with the budget explains the drop
+    assert res.backpointer_bytes == full.backpointer_bytes > 64
+    assert 0 < res.states <= 3 ** 4
+    exact = exact_gamma_dp(GridDims(4, 8), backpointer_budget=full.backpointer_bytes)
+    assert exact.witness == full.witness
 
 
 def test_one_two_at_least_domination():

@@ -3,8 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from griddom import (GridDims, construct, document_to_pattern, dumps_document,
-                     pattern_to_document, render_ascii, render_svg)
+from griddom import (GridDims, construct, count_cross_check, document_to_pattern,
+                     dumps_document, pattern_to_document, render_ascii, render_svg)
 from griddom.cli import main
 from griddom.render import DocumentError
 
@@ -51,6 +51,25 @@ def test_document_round_trip():
     assert q.white == tuple(sorted(p.white))
     assert q.deviations == p.deviations
     assert dumps_document(pattern_to_document(q)) == text
+
+
+def test_document_round_trip_keeps_orientation():
+    p = construct(GridDims(21, 25))          # class (0, 1) builds transposed
+    assert p.transposed
+    q = document_to_pattern(json.loads(dumps_document(pattern_to_document(p))))
+    assert q.transposed
+    assert count_cross_check(p).unexplained == ()
+    assert count_cross_check(q).unexplained == ()
+
+
+def test_document_transposed_key_is_strict():
+    doc = pattern_to_document(construct(GridDims(16, 16)))
+    assert doc["transposed"] is False
+    del doc["transposed"]
+    assert document_to_pattern(doc).transposed is False
+    for bad in (1, 0, "true", None):
+        with pytest.raises(DocumentError, match="transposed"):
+            document_to_pattern(dict(doc, transposed=bad))
 
 
 def test_document_rejects_garbage():
@@ -100,6 +119,15 @@ def test_cli_oracle_brute(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 2
     assert payload["method"] == "brute-force"
+
+
+def test_cli_oracle_dp_reports_states(capsys):
+    assert main(["oracle", "--m", "4", "--n", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == 6 and len(payload["witness"]) == 6
+    assert 0 < payload["states"] <= 3 ** 4
+    assert payload["backpointer_bytes"] == payload["work"] > 0
+    assert payload["witness_dropped"] is False
 
 
 def test_cli_oracle_capacity(capsys):
