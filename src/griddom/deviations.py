@@ -12,6 +12,7 @@ count-table mismatches are expected.
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from importlib import resources
 
 ENV_LEDGER_PATH = "GRIDDOM_DEVIATION_LEDGER"
@@ -316,8 +317,10 @@ _DEFICIT_IDS = {(0, 0): "DEV-DEFICIT-00", (0, 2): "DEV-DEFICIT-02",
                 (2, 0): "DEV-DEFICIT-20"}
 
 
+@cache
 def deviation_ids_for_class(cls: tuple[int, int], transposed: bool) -> tuple[str, ...]:
-    """Ledger ids a construct() call for this class applies or triggers."""
+    """Ledger ids a construct() call for this class applies or triggers
+    (one of 50 answers, so each is computed once)."""
     ids = ["DEV-DM-RANGE", "DEV-DL-OFFSET"]
     if transposed:
         ids.append("DEV-ORIENT")

@@ -1,11 +1,14 @@
 """Grid geometry: coordinates, neighborhoods, boundary and sub-grid predicates.
 
 Vertices are 1-based (row, col); (1, 1) is the upper-left corner and (m, n)
-the lower-right one. Everything here is a pure function.
+the lower-right one. Sets of vertices travel as (k, 2) integer arrays (see
+coordinate_array). Everything here is a pure function.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class Vertex(NamedTuple):
@@ -46,6 +49,29 @@ class GridDims:
         for r in range(1, self.m + 1):
             for c in range(1, self.n + 1):
                 yield Vertex(r, c)
+
+
+def coordinate_array(members, dims: GridDims) -> np.ndarray:
+    """Members as a (k, 2) integer array of 1-based (row, col) pairs.
+
+    Takes an integer array, returned as it is, or any iterable of pairs (a
+    set of Vertex included). Raises ValueError for another shape, a
+    non-integer dtype, or a pair outside dims, naming the first such member.
+    """
+    rc = np.asarray(members if isinstance(members, np.ndarray) else list(members))
+    if rc.size == 0:
+        return np.empty((0, 2), dtype=np.int32)
+    if rc.ndim != 2 or rc.shape[1] != 2 or rc.dtype.kind not in "iu":
+        raise ValueError("members must be (row, col) integer pairs; got shape "
+                         f"{rc.shape} and dtype {rc.dtype}")
+    if rc.dtype.kind == "u":
+        rc = rc.astype(np.int64)      # values past 2**63 turn negative: out of bounds
+    r, c = rc[:, 0], rc[:, 1]
+    if rc.min() < 1 or r.max() > dims.m or c.max() > dims.n:
+        bad = np.flatnonzero((r < 1) | (r > dims.m) | (c < 1) | (c > dims.n))[0]
+        raise ValueError(f"member {tuple(rc[bad].tolist())} out of bounds "
+                         f"for {dims.m}x{dims.n} grid")
+    return rc
 
 
 def _require_in_bounds(v: tuple, dims: GridDims) -> None:

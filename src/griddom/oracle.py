@@ -283,9 +283,9 @@ def exact_gamma_dp(
     """Exact minimum via the frontier DP; witness via back-pointers.
 
     The sweep always runs along the longer dimension so the frontier width is
-    min(m, n). Exceeding the width cap raises CapacityError naming the state
-    count the request would need. The DP runs over reachable frontier states
-    only; `work` counts the (reachable state, cell) pairs relaxed, `states`
+    min(m, n). Exceeding the width cap raises CapacityError naming the dense
+    bound B**width on the frontier codes. The DP runs over reachable frontier
+    states only; `work` counts the (reachable state, cell) pairs relaxed, `states`
     is the largest reachable set over the row offsets, and
     `backpointer_bytes` is the one-byte-per-pair log size compared with
     `backpointer_budget`. When the log would exceed the budget (or
@@ -299,7 +299,8 @@ def exact_gamma_dp(
     if width > cap:
         raise CapacityError(
             f"frontier width {width} exceeds cap {cap}: {base}**{width} = "
-            f"{base**width} states per layer"
+            f"{base**width} frontier codes (a bound; the DP keeps only the "
+            "reachable ones)"
         )
     init = (base ** width - 1) // (base - 1)      # every frontier digit = 1
     states = _reachable_states(successors, base, width, init)

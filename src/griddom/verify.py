@@ -1,16 +1,17 @@
 """Coverage verification: domination, [1,2] bounds, cardinality, uniqueness.
 
-All checks run in O(m*n) time and memory via numpy shift-sums over a single
-indicator array; counterexample lists are reported in row-major order and
-capped (default 32) with exact totals alongside.
+All checks run in O(m*n) time and memory via numpy shift-sums over one padded
+indicator array, filled from the members' coordinate arrays by fancy
+indexing; counterexample lists are reported in row-major order and capped
+(default 32) with exact totals alongside.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import MIN_SIDE, PatternSet, gamma_formula
-from .grid import GridDims, Vertex
+from .construction import MIN_SIDE, PatternSet, gamma_formula, row_major_keys
+from .grid import GridDims, Vertex, coordinate_array
 
 COUNTEREXAMPLE_CAP = 32
 
@@ -18,13 +19,8 @@ COUNTEREXAMPLE_CAP = 32
 def _indicator(dims: GridDims, members) -> np.ndarray:
     """(m+2)x(n+2) zero-padded 0/1 array; raises on out-of-bounds members."""
     ind = np.zeros((dims.m + 2, dims.n + 2), dtype=np.int8)
-    for v in members:
-        r, c = v
-        if not dims.in_bounds(v):
-            raise ValueError(
-                f"member {tuple(v)} out of bounds for {dims.m}x{dims.n} grid"
-            )
-        ind[r, c] = 1
+    rc = coordinate_array(members, dims)
+    ind[rc[:, 0], rc[:, 1]] = 1
     return ind
 
 
@@ -33,12 +29,14 @@ def _open_counts(ind: np.ndarray) -> np.ndarray:
     return (ind[:-2, 1:-1] + ind[2:, 1:-1] + ind[1:-1, :-2] + ind[1:-1, 2:])
 
 
-def _vertices(mask: np.ndarray, cap: int | None = COUNTEREXAMPLE_CAP):
+def _vertices(mask: np.ndarray, cap: int | None = COUNTEREXAMPLE_CAP, offset: int = 1):
+    total = int(np.count_nonzero(mask))
+    if not total:
+        return (), 0
     hits = np.argwhere(mask)          # row-major order
-    total = len(hits)
     if cap is not None:
         hits = hits[:cap]
-    return tuple(Vertex(int(r) + 1, int(c) + 1) for r, c in hits), total
+    return tuple(Vertex(int(r) + offset, int(c) + offset) for r, c in hits), total
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,14 @@ class CoverageReport:
 
 
 def coverage_map(dims: GridDims, members, cap: int | None = COUNTEREXAMPLE_CAP) -> CoverageReport:
-    """Count, for every vertex, its neighbors inside the candidate set."""
-    ind = _indicator(dims, members)
+    """Count, for every vertex, its neighbors inside the candidate set.
+
+    members is a (k, 2) array-like of (row, col) pairs, e.g. a set of Vertex.
+    """
+    return _coverage(dims, _indicator(dims, members), cap)
+
+
+def _coverage(dims: GridDims, ind: np.ndarray, cap: int | None) -> CoverageReport:
     open_counts = _open_counts(ind)
     member_mask = ind[1:-1, 1:-1].astype(bool)
     undom_mask = ~member_mask & (open_counts == 0)
@@ -113,20 +117,20 @@ class UniqueCoverageResult:
 def interior_unique_coverage(dims: GridDims, black, cap: int | None = COUNTEREXAMPLE_CAP) -> UniqueCoverageResult:
     """Every sub-grid vertex must see exactly one black member in its closed
     neighborhood, and every degree-4 vertex at most one."""
-    ind = _indicator(dims, black)
+    return _unique_coverage(_indicator(dims, black), cap)
+
+
+def _unique_coverage(ind: np.ndarray, cap: int | None) -> UniqueCoverageResult:
+    """interior_unique_coverage from the padded indicator of the black members."""
     closed = _open_counts(ind) + ind[1:-1, 1:-1]
-    interior = np.zeros((dims.m, dims.n), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    sub = interior.copy()
-    for r, c in ((2, 2), (2, dims.n - 1), (dims.m - 1, 2), (dims.m - 1, dims.n - 1)):
-        if 1 <= r <= dims.m and 1 <= c <= dims.n:
-            sub[r - 1, c - 1] = False
-    bad = (sub & (closed != 1)) | (interior & (closed > 1))
-    hits = np.argwhere(bad)
-    total = len(hits)
-    if cap is not None:
-        hits = hits[:cap]
-    ces = tuple((Vertex(int(r) + 1, int(c) + 1), int(closed[r, c])) for r, c in hits)
+    inner = closed[1:-1, 1:-1]            # degree-4 vertices, from (2, 2)
+    bad = inner != 1
+    if inner.size:
+        # the four near-corner cells are outside the sub-grid: at most one
+        for r, c in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+            bad[r, c] = inner[r, c] > 1
+    cells, total = _vertices(bad, cap, offset=2)
+    ces = tuple((v, int(closed[v.row - 1, v.col - 1])) for v in cells)
     return UniqueCoverageResult(passed=total == 0, counterexamples=ces, total=total)
 
 
@@ -164,8 +168,10 @@ def verify_pattern(p: PatternSet, cap: int | None = COUNTEREXAMPLE_CAP) -> Patte
     reported as passed-vacuously with a note.
     """
     dims = p.dims
-    members = set(p.black) | set(p.white)
-    report = coverage_map(dims, members, cap)
+    ind = _indicator(dims, p.black_rc)
+    uniq = _unique_coverage(ind, cap)
+    ind[p.white_rc[:, 0], p.white_rc[:, 1]] = 1
+    report = _coverage(dims, ind, cap)
     dom = CheckResult(
         "dominating", report.is_dominating,
         detail=f"{report.undominated_total} undominated" if not report.is_dominating else "",
@@ -187,7 +193,6 @@ def verify_pattern(p: PatternSet, cap: int | None = COUNTEREXAMPLE_CAP) -> Patte
     else:
         expected = None
         card = CheckResult("cardinality", True, detail="no closed form below 16; skipped")
-    uniq = interior_unique_coverage(dims, p.black, cap)
     uniq_check = CheckResult(
         "interior_unique", uniq.passed,
         detail="" if uniq.passed else f"{uniq.total} interior vertices off",
@@ -212,24 +217,46 @@ class CornerCheckResult:
 
 def corner_multiplicity_check(p: PatternSet) -> CornerCheckResult:
     """Near-corner cells must be covered at most twice, and no corner may get
-    both of its two frame whites at once."""
-    dims = p.dims
-    m, n = dims.m, dims.n
-    members = set(p.black) | set(p.white)
-    report = coverage_map(dims, members, cap=0)
+    both of its two frame whites at once.
+
+    Reads the closed neighbourhoods of the four near-corner cells and the
+    eight frame cells beside the corners by key lookups; no coverage map is
+    built."""
+    m, n = p.dims.m, p.dims.n
     corners = (Vertex(2, 2), Vertex(2, n - 1), Vertex(m - 1, 2), Vertex(m - 1, n - 1))
-    coverage = {v: report.count(v) for v in corners}
-    white = set(p.white)
     pairs = (
         (Vertex(1, 2), Vertex(2, 1)),
         (Vertex(2, n), Vertex(1, n - 1)),
         (Vertex(m - 1, 1), Vertex(m, 2)),
         (Vertex(m - 1, n), Vertex(m, n - 1)),
     )
-    present = tuple(pr for pr in pairs if pr[0] in white and pr[1] in white)
+    closed = [(r + dr, c + dc) for r, c in corners
+              for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))]
+    frame = [v for pr in pairs for v in pr]
+    black = _members_at(p.black_rc, closed, n)
+    white = _members_at(p.white_rc, closed + frame, n)
+    hits = (black + white[:len(closed)]).reshape(4, 5).sum(axis=1).tolist()
+    coverage = dict(zip(corners, hits))
+    both_white = white[len(closed):].reshape(4, 2).all(axis=1).tolist()
+    present = tuple(pr for pr, both in zip(pairs, both_white) if both)
     ok = all(c <= 2 for c in coverage.values()) and not present
     return CornerCheckResult(passed=ok, corner_coverage=coverage,
                              forbidden_pairs_present=present)
+
+
+def _members_at(rc: np.ndarray, cells: list, n: int) -> np.ndarray:
+    """0/1 per cell: is the cell a row of the row-major array rc?
+
+    Every cell lies in the first three or the last three rows (or on the
+    zero-padded border next to them). Those rows hold at most 3n members
+    each, so only the first and last 3n rows of rc are searched."""
+    query = row_major_keys(np.array(cells), n)
+    found = np.zeros(len(cells), dtype=np.int64)
+    for part in (rc[:3 * n], rc[-3 * n:]):
+        if len(part):
+            keys = row_major_keys(part, n)
+            found |= keys.take(np.searchsorted(keys, query), mode="clip") == query
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +335,11 @@ def count_cross_check(p: PatternSet, ledger: dict | None = None) -> CountCrossCh
     m, n = bd.m, bd.n
     S, T = n // 5, m // 5
     rn, rm = n % 5, m % 5
-    black = p.black if not p.transposed else [Vertex(c, r) for (r, c) in p.black]
-    per_row = np.zeros(m + 1, dtype=np.int64)
-    for r, _ in black:
-        per_row[r] += 1
+    build_rows = p.black_rc[:, 1 if p.transposed else 0]
+    # below[r] = disks in build rows < r
+    below = np.concatenate(([0], np.cumsum(np.bincount(build_rows, minlength=m + 1)))).tolist()
     def block_sum(lo, hi):
-        return int(per_row[lo:hi + 1].sum())
+        return below[hi + 1] - below[lo]
     rows: list[CountRow] = []
     def add(label, table, expected, actual):
         matches = expected == actual
@@ -334,6 +360,6 @@ def count_cross_check(p: PatternSet, ledger: dict | None = None) -> CountCrossCh
     for i, actual in mids:
         add(f"middle[{i}]", "middle", _table2_middle(S, rn), actual)
     add("last", "last", _table2_last(S, rn, rm), last)
-    add("white", "white", _table3_white(S, T, rn, rm), len(p.white))
+    add("white", "white", _table3_white(S, T, rn, rm), len(p.white_rc))
     return CountCrossCheck(dims=p.dims, build_dims=bd, transposed=p.transposed,
                            rows=tuple(rows))

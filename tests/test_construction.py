@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from griddom import (DEFICIT_CLASSES, GridDims, LAST_ROW_FROM_COL2,
                      first_column_offset, gamma_formula, pattern_class,
                      row_offset, verify_pattern, white_squares_first_row,
                      white_squares_sides)
+from griddom.construction import PatternSet
 
 REFERENCE_SIZES = {
     (16, 16): 60,
@@ -233,3 +235,39 @@ def test_edge_row_disk_column_ranges():
             assert all(lo <= c <= n - 2 for c in last), (m, n)
             if pattern_class(dims) in LAST_ROW_FROM_COL2:
                 assert 2 in last, (m, n)
+
+
+def test_pattern_arrays_are_row_major_int32_and_read_only():
+    for dims in (GridDims(16, 16), GridDims(24, 20)):   # direct and transposed
+        p = construct(dims)
+        for rc, view in ((p.black_rc, p.black), (p.white_rc, p.white)):
+            assert rc.dtype == np.int32 and rc.shape == (len(view), 2)
+            assert rc.flags.c_contiguous and not rc.flags.writeable
+            keys = rc[:, 0].astype(np.int64) * (dims.n + 2) + rc[:, 1]
+            assert (np.diff(keys) > 0).all()
+            assert [list(v) for v in view] == rc.tolist()
+
+
+def test_pattern_set_enforces_its_invariants():
+    d = GridDims(16, 16)
+    p = construct(d)
+    # any (k, 2) array-like is accepted and sorted
+    q = PatternSet(d, list(reversed(p.black)), set(p.white))
+    assert q.black == p.black and q.white == p.white
+    with pytest.raises(ValueError, match=r"duplicate black member \(1, 6\)"):
+        PatternSet(d, p.black + (p.black[0],), p.white)
+    with pytest.raises(ValueError, match="overlap"):
+        PatternSet(d, p.black, p.white + (p.black[3],))
+    with pytest.raises(ValueError, match=r"member \(17, 1\) out of bounds"):
+        PatternSet(d, p.black + (Vertex(17, 1),), p.white)
+    with pytest.raises(ValueError, match="integer pairs"):
+        PatternSet(d, np.array([[1.0, 2.0]]), ())
+    with pytest.raises(ValueError, match="integer pairs"):
+        PatternSet(d, [(1, 2, 3)], ())
+    assert PatternSet(d, (), ()).cardinality == 0
+
+
+def test_pattern_set_compares_by_identity():
+    a, b = construct(GridDims(20, 21)), construct(GridDims(20, 21))
+    assert a == a and a != b
+    assert np.array_equal(a.black_rc, b.black_rc)

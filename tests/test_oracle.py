@@ -179,3 +179,11 @@ def test_oracle_vs_formula_small_grid():
 def test_oracle_vs_formula_needs_width():
     with pytest.raises(CapacityError):
         oracle_vs_formula(GridDims(16, 16))
+
+
+def test_dp_capacity_message_names_a_bound():
+    # the DP holds only the reachable frontier states (about 128k at width
+    # 13), so the dense count is reported as a bound on the codes
+    with pytest.raises(CapacityError, match="1594323 frontier codes") as exc:
+        exact_gamma_dp(GridDims(13, 40))
+    assert "states per layer" not in str(exc.value)

@@ -1,0 +1,113 @@
+"""Hypothesis properties of the pattern document and the verifier."""
+
+import json
+from itertools import chain
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from griddom import (GridDims, construct, document_to_pattern, dumps_document,
+                     gamma_formula, pattern_to_document, verify_pattern)
+from griddom.construction import PatternSet
+from griddom.render import DocumentError
+
+dims_16_60 = st.builds(GridDims, st.integers(16, 60), st.integers(16, 60))
+
+
+@given(dims_16_60)
+@settings(max_examples=60, deadline=None)
+def test_document_round_trip_preserves_members_and_orientation(dims):
+    p = construct(dims)
+    q = document_to_pattern(json.loads(dumps_document(pattern_to_document(p))))
+    assert q.dims == p.dims and q.transposed == p.transposed
+    assert np.array_equal(q.black_rc, p.black_rc)
+    assert np.array_equal(q.white_rc, p.white_rc)
+    assert q.deviations == p.deviations
+
+
+def _recount(m, n, black, white):
+    """Domination counts from scratch: closed-neighbourhood member counts
+    of all members and of the black members alone."""
+    def closed(rc):
+        pad = np.zeros((m + 2, n + 2), dtype=np.int64)
+        for r, c in rc:
+            pad[r, c] += 1
+        return (pad[1:-1, 1:-1] + pad[:-2, 1:-1] + pad[2:, 1:-1]
+                + pad[1:-1, :-2] + pad[1:-1, 2:]), pad[1:-1, 1:-1]
+    every, member = closed(black + white)
+    only_black, _ = closed(black)
+    sub = np.zeros((m, n), dtype=bool)
+    sub[1:-1, 1:-1] = True
+    near_corners = sub.copy()
+    sub[[1, 1, -2, -2], [1, -2, 1, -2]] = False
+    unique_bad = (sub & (only_black != 1)) | (near_corners & (only_black > 1))
+    return {
+        "size": int(member.sum()),
+        "undominated": int((every == 0).sum()),
+        "over": int(((member == 0) & (every > 2)).sum()),
+        "unique_bad": int(unique_bad.sum()),
+        "max_closed": int(every.max()),
+    }
+
+
+@given(st.builds(GridDims, st.integers(16, 30), st.integers(16, 30)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_verify_pattern_agrees_with_a_recount(dims, data):
+    m, n = dims.m, dims.n
+    p = construct(dims)
+    black, white = list(p.black), list(p.white)
+    for group in (black, white):
+        for _ in range(data.draw(st.integers(0, 3))):
+            group.pop(data.draw(st.integers(0, len(group) - 1)))
+    cells = st.tuples(st.integers(1, m), st.integers(1, n))
+    for cell in data.draw(st.lists(cells, max_size=4)):
+        if cell not in black and cell not in white:
+            (black if data.draw(st.booleans()) else white).append(cell)
+    q = PatternSet(dims, black, white)
+    v = verify_pattern(q, cap=None)
+    want = _recount(m, n, black, white)
+    assert v.cardinality == want["size"] == q.cardinality
+    assert v.check("dominating").passed == (want["undominated"] == 0)
+    assert len(v.check("dominating").counterexamples) == want["undominated"]
+    assert v.check("one_two").passed == (want["undominated"] == want["over"] == 0)
+    assert v.check("cardinality").passed == (want["size"] == gamma_formula(dims))
+    assert v.check("interior_unique").passed == (want["unique_bad"] == 0)
+    assert len(v.check("interior_unique").counterexamples) == want["unique_bad"]
+    assert v.total_coverage_within_two == (want["max_closed"] <= 2)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([2**31, 2**63, -2**63 - 1, 2**64]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+BASE = pattern_to_document(construct(GridDims(16, 17)))
+SLOTS = [("m",), ("n",), ("black",), ("white",), ("black", 0), ("white", 0),
+         ("black", 0, 1)]
+
+
+# values a lax parser would coerce into a valid-looking document
+near_valid = st.integers(-1, 20) | st.floats(0, 20) | st.booleans()
+
+
+@given(st.sampled_from(SLOTS), near_valid | json_values)
+@settings(max_examples=300, deadline=None)
+def test_parser_raises_only_document_error(slot, value):
+    doc = json.loads(json.dumps(BASE))
+    *parents, last = slot
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        q = document_to_pattern(doc)
+    except DocumentError:
+        return
+    # a document is accepted only when every value read is an exact int
+    values = [doc["m"], doc["n"], *chain.from_iterable(doc["black"] + doc["white"])]
+    assert all(type(v) is int for v in values)
+    assert (q.dims.m, q.dims.n) == (doc["m"], doc["n"])
+    assert q.black_rc.tolist() == sorted(doc["black"])
+    assert q.white_rc.tolist() == sorted(doc["white"])

@@ -228,3 +228,86 @@ def test_document_round_trip_many_sizes():
         assert (q.dims, q.black, q.white) == (p.dims, tuple(sorted(p.black)),
                                               tuple(sorted(p.white)))
         assert dumps_document(pattern_to_document(q)) == text
+
+
+def _doc16(**changes):
+    doc = pattern_to_document(construct(GridDims(16, 16)))
+    doc.update(changes)
+    return doc
+
+
+def test_document_rejects_duplicate_member():
+    # the duplicate used to be counted twice by cardinality (61) and once by
+    # the verifier (60, ok)
+    doc = _doc16()
+    doc["black"].append(doc["black"][0])
+    with pytest.raises(DocumentError, match="duplicate black member"):
+        document_to_pattern(doc)
+
+
+def test_document_rejects_float_coordinate():
+    doc = _doc16()
+    doc["black"][0] = [1.9, doc["black"][0][1]]      # used to read as row 1
+    with pytest.raises(DocumentError, match="integers"):
+        document_to_pattern(doc)
+
+
+def test_document_rejects_float_dims():
+    with pytest.raises(DocumentError, match="m must be an integer"):
+        document_to_pattern(_doc16(m=16.7))          # used to read as 16
+
+
+def test_document_rejects_bool_dims_and_coordinates():
+    with pytest.raises(DocumentError, match="n must be an integer"):
+        document_to_pattern(_doc16(n=True))
+    doc = _doc16()
+    doc["white"][0] = [True, 2]
+    with pytest.raises(DocumentError, match="integers"):
+        document_to_pattern(doc)
+
+
+def test_document_rejects_pairs_of_other_lengths():
+    for bad in ([1, 2, 3], [4], []):
+        doc = _doc16()
+        doc["black"][0] = bad
+        with pytest.raises(DocumentError, match="exactly 2 entries"):
+            document_to_pattern(doc)
+    with pytest.raises(DocumentError, match="pairs"):
+        document_to_pattern(_doc16(black=[(1, 2)]))  # a tuple is no JSON pair
+
+
+def test_document_rejects_black_white_overlap():
+    doc = _doc16()
+    doc["white"].append(doc["black"][5])
+    with pytest.raises(DocumentError, match="overlap"):
+        document_to_pattern(doc)
+
+
+def test_document_sorts_unsorted_lists():
+    doc = _doc16()
+    doc["black"].reverse()
+    p = construct(GridDims(16, 16))
+    assert document_to_pattern(doc).black == p.black
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["black"].append(d["black"][0]),
+    lambda d: d["black"].__setitem__(0, [1.9, 3]),
+    lambda d: d.__setitem__("m", 16.7),
+    lambda d: d.__setitem__("m", True),
+    lambda d: d["white"].__setitem__(0, [1, 2, 3]),
+    lambda d: d["white"].append(d["black"][0]),
+], ids=["duplicate", "float-coordinate", "float-m", "bool-m", "triple", "overlap"])
+def test_cli_verify_input_rejects_invalid_document(tmp_path, capsys, mutate):
+    doc = _doc16()
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dumps_document_is_compact():
+    text = dumps_document(pattern_to_document(construct(GridDims(16, 16))))
+    assert text.count("\n") == 1 and ": " not in text and ", " not in text
+    assert text.startswith('{"black":[[1,6],[1,11],')

@@ -59,7 +59,7 @@ def test_verify_pattern_24x21():
 
 def test_verify_detects_deleted_member():
     p = construct(GridDims(16, 16))
-    damaged = PatternSet(dims=p.dims, black=p.black[:-1], white=p.white)
+    damaged = PatternSet(dims=p.dims, black_rc=p.black[:-1], white_rc=p.white)
     v = verify_pattern(damaged)
     assert not v.check("dominating").passed
     assert v.check("dominating").counterexamples
@@ -69,7 +69,7 @@ def test_verify_detects_added_member():
     d = GridDims(21, 20)
     p = construct(d)
     extra = next(v for v in d.vertices() if v not in p.members)
-    grown = PatternSet(dims=d, black=p.black, white=p.white + (extra,))
+    grown = PatternSet(dims=d, black_rc=p.black, white_rc=p.white + (extra,))
     v = verify_pattern(grown)
     assert not v.check("cardinality").passed
     assert v.cardinality == gamma_formula(d) + 1
@@ -77,8 +77,8 @@ def test_verify_detects_added_member():
 
 def test_verify_is_provenance_oblivious():
     p = construct(GridDims(17, 18))
-    swapped = PatternSet(dims=p.dims, black=p.black, white=p.white,
-                         tags={}, deviations=())
+    swapped = PatternSet(dims=p.dims, black_rc=p.black, white_rc=p.white,
+                         deviations=())
     assert verify_pattern(swapped).ok == verify_pattern(p).ok
 
 
@@ -100,8 +100,8 @@ def test_corner_multiplicity():
     assert corner_multiplicity_check(construct(GridDims(20, 20))).passed
     p = construct(GridDims(16, 16))
     injected = PatternSet(
-        dims=p.dims, black=p.black,
-        white=tuple(sorted(set(p.white) | {Vertex(1, 2), Vertex(2, 1)})))
+        dims=p.dims, black_rc=p.black,
+        white_rc=tuple(sorted(set(p.white) | {Vertex(1, 2), Vertex(2, 1)})))
     assert not corner_multiplicity_check(injected).passed
 
 
