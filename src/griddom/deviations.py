@@ -11,9 +11,11 @@ count-table mismatches are expected.
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 ENV_LEDGER_PATH = "GRIDDOM_DEVIATION_LEDGER"
 
@@ -358,22 +360,39 @@ def load_ledger(path: str | None = None) -> dict:
     return {e["id"]: e for e in payload["entries"]}
 
 
-def expected_table_mismatches(ledger: dict | None = None) -> dict:
-    """Map (table, n_mod, m_mod) -> (printed_minus_actual, ledger id).
+def expected_table_mismatches(ledger: dict | None = None) -> Mapping:
+    """Read-only map (table, n_mod, m_mod) -> (printed_minus_actual, ledger id).
 
     m_mod may be None in the ledger (wildcard); the returned map keeps the
-    wildcard key and lookups must try both forms.
+    wildcard key and lookups must try both forms. Without `ledger`, the
+    active copy is parsed once per source: the packaged copy once, a
+    $GRIDDOM_DEVIATION_LEDGER file once per (path, mtime, size), so a
+    switched or rewritten override still takes effect.
     """
-    if ledger is None:
-        ledger = load_ledger()
+    if ledger is not None:
+        return _mismatch_map(ledger.values())
+    path = os.environ.get(ENV_LEDGER_PATH)
+    if path:
+        st = os.stat(path)
+        return _active_mismatches(path, st.st_mtime_ns, st.st_size)
+    return _active_mismatches("", 0, 0)
+
+
+def _mismatch_map(entries) -> Mapping:
     out = {}
-    for entry in ledger.values():
+    for entry in entries:
         for cell in entry.get("table_cells", ()):
             key = (cell["table"], cell["n_mod"], cell["m_mod"])
             out[key] = (cell["printed_minus_actual"], entry["id"])
-    return out
+    return MappingProxyType(out)
+
+
+@lru_cache(maxsize=8)
+def _active_mismatches(path: str, mtime_ns: int, size: int) -> Mapping:
+    """The map of the ledger at `path`; "" is the packaged copy."""
+    return _mismatch_map(load_ledger(path).values())
 
 
 def lookup_expected_mismatch(table: str, n_mod: int, m_mod: int,
-                             expected: dict) -> tuple[int, str] | None:
+                             expected: Mapping) -> tuple[int, str] | None:
     return expected.get((table, n_mod, m_mod)) or expected.get((table, n_mod, None))

@@ -15,19 +15,24 @@ Frontier states track, per cell: 0 = member; then for plain domination
 third covering neighbor is pruned immediately). A cell leaves the frontier
 when its right neighbor is decided, at which point it must not be uncovered.
 
-The transition rule is one vectorised successor function per variant. Per
-solve, a search from the initial state finds the codes that can enter each
-row offset r (a small fraction of the 3**w or 4**w dense codes) and inverts
-the successor map into predecessor tables: preds[k][j] is the k-th
-predecessor of reachable state j. States are ordered by predecessor count,
-so preds[k] is a prefix and holds no padding. Each cell step is then a
-gather-min over at most five (domination) or three ([1,2]) such rows, plus 1
-on the states whose new digit r is 0, i.e. where a member is placed.
-Back-pointers are the one-byte k of the chosen predecessor per (cell,
-reachable state), and are dropped above a byte budget, in which case only
-the value is returned.
+The transition rule is one vectorised successor function per variant. A
+search from the initial state finds the codes that can enter each row offset
+r (a small fraction of the 3**w or 4**w dense codes) and inverts the
+successor map into predecessor tables: preds[k][j] is the k-th predecessor
+of reachable state j. States are ordered by predecessor count, so preds[k]
+is a prefix and holds no padding. The tables depend only on (variant, w), so
+they are built once and kept, read-only, in a cache bounded by
+TABLE_CACHE_BYTES. Each cell step is then a gather-min over at most five
+(domination) or three ([1,2]) such rows, plus 1 on the states whose new
+digit r is 0, i.e. where a member is placed. Back-pointers are the one-byte
+k of the chosen predecessor, logged per cell only for the states with a
+choice, the prefix preds[1]; a state past it has one predecessor, k = 0. The
+log is dropped above a byte budget, in which case only the value is
+returned.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -39,6 +44,9 @@ from .grid import GridDims, Vertex
 BRUTE_FORCE_CELL_CAP = 20
 DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
 DEFAULT_BACKPOINTER_BUDGET = 256 * 2**20   # bytes
+# widths <= 13 of both variants take about 26 MB; one width-16 set (about
+# 218 MB) is never kept
+TABLE_CACHE_BYTES = 64 * 2**20
 VARIANTS = ("domination", "one-two")
 _INF = np.int32(2**30)
 
@@ -50,10 +58,10 @@ class CapacityError(ValueError):
 @dataclass(frozen=True)
 class OracleResult:
     """One exact solve. `work` counts subsets tried (brute force) or
-    (reachable state, cell) pairs relaxed (profile DP). For the DP, `states`
-    is the largest reachable frontier set over the row offsets and
-    `backpointer_bytes` the witness log size compared with the budget; both
-    are 0 for brute force."""
+    (reachable state, cell) pairs relaxed (profile DP). For the DP,
+    `row_states[r]` is the number of reachable frontier codes entering row
+    offset r, `states` its maximum, and `backpointer_bytes` the witness log
+    size compared with the budget; they are (), 0 and 0 for brute force."""
 
     dims: GridDims
     variant: str
@@ -64,6 +72,7 @@ class OracleResult:
     witness_dropped: bool = False
     states: int = 0
     backpointer_bytes: int = 0
+    row_states: tuple[int, ...] = ()
 
 
 def _check_variant(variant: str) -> None:
@@ -249,27 +258,75 @@ def _predecessor_tables(successors, states, base: int, width: int):
         order = np.argsort(-counts, kind="stable")
         rank = np.empty(dst.size, dtype=np.int32)
         rank[order] = np.arange(dst.size, dtype=np.int32)
-        targets = rank[targets]
-        by_target = np.argsort(targets, kind="stable")
-        targets, sources = targets[by_target], sources[by_target]
+        # group the sources by target in table order; within a group they
+        # keep their order, and the i-th of each group is a k = i predecessor
+        sources = sources[np.argsort(rank[targets], kind="stable")]
+        del targets
         counts = counts[order]
-        k = np.arange(targets.size) - (np.cumsum(counts) - counts)[targets]
-        preds = [sources[k == i] for i in range(counts[0])]
+        starts = np.cumsum(counts) - counts
+        preds = [sources[starts[:np.count_nonzero(counts > i)] + i]
+                 for i in range(counts[0])]
         tables.append((preds, dst[order] // base ** r % base == 0))
     for p in tables[0][0]:        # row 0's sources get their order last
         p[:] = rank[p]
     return tables, states[0][order]
 
 
+_table_cache: OrderedDict = OrderedDict()  # (variant, width) -> (entry, bytes)
+_table_cache_lock = threading.Lock()
+
+
+def _frontier_tables(variant: str, width: int):
+    """(tables, init_index, final_ok, row_states) for one variant and width.
+
+    tables are as `_predecessor_tables` returns them; init_index is the
+    all-ones start state's index among the states entering row 0, and
+    final_ok marks those of them that may end the sweep (no digit `bad`);
+    row_states[r] is the size of the reachable set entering row offset r.
+    Every array is read-only. Entries are kept, least recently used evicted
+    first, while their arrays total at most TABLE_CACHE_BYTES; a larger
+    entry is returned without being kept.
+    """
+    key = (variant, width)
+    with _table_cache_lock:
+        hit = _table_cache.get(key)
+        if hit is not None:
+            _table_cache.move_to_end(key)
+            return hit[0]
+    base, bad, successors = _RULES[variant]
+    init = (base ** width - 1) // (base - 1)      # every frontier digit = 1
+    states = _reachable_states(successors, base, width, init)
+    row_states = tuple(s.size for s in states)
+    tables, final_codes = _predecessor_tables(successors, states, base, width)
+    init_index = int(np.flatnonzero(final_codes == init)[0])
+    final_ok = np.ones(final_codes.size, dtype=bool)
+    for j in range(width):
+        final_ok &= final_codes // base ** j % base != bad
+    arrays = [final_ok] + [a for preds, place in tables for a in (*preds, place)]
+    for a in arrays:
+        a.flags.writeable = False
+    entry = (tables, init_index, final_ok, row_states)
+    size = sum(a.nbytes for a in arrays)
+    if size <= TABLE_CACHE_BYTES:
+        with _table_cache_lock:
+            _table_cache[key] = (entry, size)
+            total = sum(s for _, s in _table_cache.values())
+            while total > TABLE_CACHE_BYTES:
+                total -= _table_cache.popitem(last=False)[1][1]
+    return entry
+
+
 def _reconstruct(tables, bps, final_index: int, width: int):
-    """Follow the back-pointers from the final state to the initial one."""
+    """Follow the back-pointers from the final state to the initial one.
+    An index past a step's log has one predecessor, k = 0."""
     members = []
     index = final_index
     for step in range(len(bps) - 1, -1, -1):
         preds, place = tables[step % width]
         if place[index]:
             members.append((step % width, step // width))
-        index = int(preds[bps[step][index]][index])
+        bp = bps[step]
+        index = int(preds[bp[index] if index < bp.size else 0][index])
     return members, index
 
 
@@ -285,16 +342,21 @@ def exact_gamma_dp(
     The sweep always runs along the longer dimension so the frontier width is
     min(m, n). Exceeding the width cap raises CapacityError naming the dense
     bound B**width on the frontier codes. The DP runs over reachable frontier
-    states only; `work` counts the (reachable state, cell) pairs relaxed, `states`
-    is the largest reachable set over the row offsets, and
-    `backpointer_bytes` is the one-byte-per-pair log size compared with
-    `backpointer_budget`. When the log would exceed the budget (or
-    return_witness is false) only the value is computed and the result is
-    flagged witness_dropped.
+    states only, through predecessor tables built once per (variant, width)
+    and kept, read-only, while all kept tables total at most
+    TABLE_CACHE_BYTES (64 MiB, every width <= 13 of both variants; a
+    width-16 set is rebuilt on each call). `work` counts the (reachable
+    state, cell) pairs relaxed, `row_states[r]` is the reachable set
+    entering row offset r and `states` its maximum. `backpointer_bytes` is
+    the log size compared with `backpointer_budget`: one byte per cell for
+    each state with more than one predecessor, under half of the pairs in
+    `work`. When the log would exceed the budget (or return_witness is
+    false) only the value is computed and the result is flagged
+    witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
-    base, bad, successors = _RULES[variant]
+    base = _RULES[variant][0]
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
     if width > cap:
         raise CapacityError(
@@ -302,12 +364,11 @@ def exact_gamma_dp(
             f"{base**width} frontier codes (a bound; the DP keeps only the "
             "reachable ones)"
         )
-    init = (base ** width - 1) // (base - 1)      # every frontier digit = 1
-    states = _reachable_states(successors, base, width, init)
-    tables, final_codes = _predecessor_tables(successors, states, base, width)
-    init_index = int(np.flatnonzero(final_codes == init)[0])
+    tables, init_index, final_ok, row_states = _frontier_tables(variant, width)
     sizes = [place.size for _, place in tables]
-    log_bytes = sum(sizes) * length
+    # states past preds[1] have one predecessor and log nothing
+    choices = [preds[1].size if len(preds) > 1 else 0 for preds, _ in tables]
+    log_bytes = sum(choices) * length
     keep_bp = return_witness and log_bytes <= backpointer_budget
     top = max(sizes)
     values = np.full(top, _INF, dtype=np.int32)
@@ -317,13 +378,13 @@ def exact_gamma_dp(
     better = np.empty(top, dtype=np.uint8)
     bps = []
     for _col in range(length):
-        for preds, place in tables:
+        for (preds, place), choice in zip(tables, choices):
             out = spare[:place.size]
             head = preds[0].size
             # every index is in range; "clip" skips the buffered bounds check
             np.take(values, preds[0], out=out[:head], mode="clip")
             out[head:] = _INF       # the start state may have no predecessor
-            bp = np.zeros(place.size, dtype=np.uint8) if keep_bp else None
+            bp = np.zeros(choice, dtype=np.uint8) if keep_bp else None
             for k in range(1, len(preds)):
                 n = preds[k].size
                 cur, cand, less = out[:n], gathered[:n], better[:n]
@@ -339,10 +400,7 @@ def exact_gamma_dp(
             values, spare = spare, values
             if keep_bp:
                 bps.append(bp)
-    good = np.ones(final_codes.size, dtype=bool)
-    for j in range(width):
-        good &= final_codes // base ** j % base != bad
-    finals = np.where(good, values[:final_codes.size], _INF)
+    finals = np.where(final_ok, values[:final_ok.size], _INF)
     final_index = int(np.argmin(finals))
     value = int(finals[final_index])
     if value >= int(_INF):
@@ -362,7 +420,8 @@ def exact_gamma_dp(
         dims=dims, variant=variant, value=value, witness=witness,
         method="profile-dp", work=sum(sizes) * length,
         witness_dropped=return_witness and not keep_bp,
-        states=max(sizes), backpointer_bytes=log_bytes,
+        states=max(row_states), backpointer_bytes=log_bytes,
+        row_states=row_states,
     )
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from griddom import DEVIATIONS, construct, load_ledger, GridDims
 from griddom.construction import (DEFICIT_CLASSES, LAST_ROW_FROM_COL2,
                                   PHASE_OVERRIDES, TRANSPOSED_CLASSES)
@@ -75,3 +77,7 @@ def test_expected_mismatch_lookup_shapes():
     table = expected_table_mismatches()
     assert ("middle", 1, None) in table
     assert table[("white", 1, 1)] == (1, "DEV-FIX-11")
+    # the parsed map is shared between calls, so it is read-only
+    with pytest.raises(TypeError):
+        table[("white", 1, 1)] = (0, "DEV-X")
+    assert expected_table_mismatches() is table

@@ -4,6 +4,7 @@ import pytest
 
 from griddom import (CapacityError, GridDims, Vertex, coverage_map,
                      exact_gamma_bruteforce, exact_gamma_dp, oracle_vs_formula)
+from griddom import oracle
 from griddom.oracle import DEFAULT_BACKPOINTER_BUDGET
 
 
@@ -96,15 +97,22 @@ def test_dp_13x13_witness_within_budget():
     assert res.value == 40
     assert not res.witness_dropped and len(res.witness) == 40
     assert feasible(GridDims(13, 13), res.witness, "domination")
-    assert res.backpointer_bytes == res.work <= DEFAULT_BACKPOINTER_BUDGET
+    # one byte per cell for each of the 670511 states with a choice
+    assert res.backpointer_bytes == 670511 * 13
+    assert 0 < res.backpointer_bytes < res.work
+    assert res.backpointer_bytes <= DEFAULT_BACKPOINTER_BUDGET
 
 
 def test_dp_reachable_state_counts():
     # largest reachable frontier set over the row offsets, far below 3**11
     # and 4**9 dense codes
-    assert exact_gamma_dp(GridDims(11, 11), return_witness=False).states == 21979
-    assert exact_gamma_dp(GridDims(9, 9), "one-two",
-                          return_witness=False).states == 17394
+    for res, width, states in [
+            (exact_gamma_dp(GridDims(11, 11), return_witness=False), 11, 21979),
+            (exact_gamma_dp(GridDims(9, 9), "one-two", return_witness=False), 9, 17394)]:
+        assert res.states == states
+        # one count per row offset; each column relaxes every reachable state
+        assert len(res.row_states) == width and max(res.row_states) == states
+        assert sum(res.row_states) * max(res.dims.m, res.dims.n) == res.work
 
 
 def test_dp_deterministic():
@@ -143,6 +151,55 @@ def test_dp_witness_dropped_over_budget():
     assert 0 < res.states <= 3 ** 4
     exact = exact_gamma_dp(GridDims(4, 8), backpointer_budget=full.backpointer_bytes)
     assert exact.witness == full.witness
+
+
+def test_dp_cold_and_warm_tables_agree():
+    for variant in ("domination", "one-two"):
+        for m in range(1, 7):
+            for n in range(1, 10):
+                oracle._table_cache.clear()
+                cold = exact_gamma_dp(GridDims(m, n), variant)
+                assert (variant, min(m, n)) in oracle._table_cache
+                warm = exact_gamma_dp(GridDims(m, n), variant)
+                assert (warm.value, warm.witness) == (cold.value, cold.witness)
+                assert warm.row_states == cold.row_states
+
+
+def test_dp_cached_tables_are_read_only():
+    exact_gamma_dp(GridDims(5, 7), "one-two")
+    tables, _, final_ok, _ = oracle._frontier_tables("one-two", 5)
+    preds, place = tables[0]
+    for array in (preds[0], preds[-1], place, final_ok):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+def test_dp_table_cache_byte_bound(monkeypatch):
+    expected = exact_gamma_dp(GridDims(6, 8))
+    monkeypatch.setattr(oracle, "TABLE_CACHE_BYTES", 2**30)
+    oracle._table_cache.clear()
+    for width in (4, 5, 6):
+        exact_gamma_dp(GridDims(width, 8))
+    size = {w: oracle._table_cache["domination", w][1] for w in (4, 5, 6)}
+    assert size[4] < size[5] < size[6]
+
+    def solve_widths(bound, *widths):
+        monkeypatch.setattr(oracle, "TABLE_CACHE_BYTES", bound)
+        oracle._table_cache.clear()
+        res = [exact_gamma_dp(GridDims(w, 8)) for w in widths]
+        return [w for _, w in oracle._table_cache], res[-1]
+
+    # an entry above the bound is used but not kept, and evicts nothing
+    kept, res = solve_widths(size[5], 5, 6)
+    assert kept == [5]
+    assert (res.value, res.witness) == (expected.value, expected.witness)
+    # room for the width-6 entry alone: keeping it evicts the older width 5
+    kept, res = solve_widths(size[6], 5, 6)
+    assert kept == [6]
+    assert (res.value, res.witness) == (expected.value, expected.witness)
+    # the least recently used entry goes first: 4 was used after 5
+    kept, _ = solve_widths(size[4] + size[6], 4, 5, 4, 6)
+    assert kept == [4, 6]
 
 
 def test_one_two_at_least_domination():

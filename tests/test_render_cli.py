@@ -126,7 +126,11 @@ def test_cli_oracle_dp_reports_states(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 6 and len(payload["witness"]) == 6
     assert 0 < payload["states"] <= 3 ** 4
-    assert payload["backpointer_bytes"] == payload["work"] > 0
+    # one byte per cell for each state with more than one predecessor
+    assert payload["backpointer_bytes"] == 360
+    assert 0 < payload["backpointer_bytes"] < payload["work"]
+    assert len(payload["row_states"]) == 4
+    assert max(payload["row_states"]) == payload["states"]
     assert payload["witness_dropped"] is False
 
 

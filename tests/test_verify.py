@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,28 @@ def test_env_ledger_override(tmp_path, monkeypatch):
     monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(path))
     cc = count_cross_check(construct(GridDims(16, 16)))
     assert not cc.ok and cc.unexplained
+
+
+def test_env_ledger_override_switch_and_rewrite(tmp_path, monkeypatch):
+    # the parsed ledger is cached per source, so a different override path
+    # and a rewrite of the same path must both take effect
+    p = construct(GridDims(16, 16))
+    packaged = (files("griddom") / "data" / "deviations.json").read_text("utf-8")
+    full, empty = tmp_path / "full.json", tmp_path / "empty.json"
+    full.write_text(packaged)
+    empty.write_text('{"schema_version": 1, "entries": []}')
+    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(full))
+    assert count_cross_check(p).ok
+    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(empty))
+    assert not count_cross_check(p).ok
+    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(full))
+    assert count_cross_check(p).ok
+    full.write_text(empty.read_text())
+    assert not count_cross_check(p).ok
+    full.write_text(packaged)
+    assert count_cross_check(p).ok
+    monkeypatch.delenv("GRIDDOM_DEVIATION_LEDGER")
+    assert count_cross_check(p).ok
 
 
 def test_verdict_summary_format():
