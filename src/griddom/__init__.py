@@ -6,30 +6,19 @@ coverage verifier, and independent exact solvers for small grids.
 """
 
 from .construction import (
-    DEFICIT_CLASSES,
-    LAST_ROW_FROM_COL2,
     MIN_SIDE,
-    PHASE_OVERRIDES,
-    TRANSPOSED_CLASSES,
     PatternSet,
-    black_disks,
     construct,
     first_column_offset,
     gamma_formula,
     pattern_class,
     row_offset,
-    white_squares_first_row,
-    white_squares_sides,
 )
 from .deviations import DEVIATIONS, load_ledger
 from .grid import (
     GridDims,
     Vertex,
-    boundary,
-    closed_neighborhood,
-    neighbors,
     residue_class,
-    subgrid_vertices,
 )
 from .oracle import (
     CapacityError,
@@ -62,22 +51,15 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CoverageReport",
-    "DEFICIT_CLASSES",
     "DEVIATIONS",
     "FormulaComparison",
     "GridDims",
-    "LAST_ROW_FROM_COL2",
     "MIN_SIDE",
     "OracleResult",
-    "PHASE_OVERRIDES",
     "PatternSet",
     "PatternVerdict",
     "RenderedGrid",
-    "TRANSPOSED_CLASSES",
     "Vertex",
-    "black_disks",
-    "boundary",
-    "closed_neighborhood",
     "construct",
     "corner_multiplicity_check",
     "count_cross_check",
@@ -90,7 +72,6 @@ __all__ = [
     "gamma_formula",
     "interior_unique_coverage",
     "load_ledger",
-    "neighbors",
     "oracle_vs_formula",
     "pattern_class",
     "pattern_to_document",
@@ -98,8 +79,5 @@ __all__ = [
     "render_svg",
     "residue_class",
     "row_offset",
-    "subgrid_vertices",
     "verify_pattern",
-    "white_squares_first_row",
-    "white_squares_sides",
 ]

@@ -1,30 +1,29 @@
-"""Linear-time construction of dominating sets for m x n grids, m, n >= 16.
+"""Linear-time construction of minimum dominating sets for m x n grids, m, n >= 16.
 
 The method places "black disks" on a period-5 diagonal lattice that covers
 every sub-grid vertex exactly once, then patches the frame with "white
 squares" chosen from 25 residue-class case tables keyed by
 (n mod 5, m mod 5).
 
-The baseline case tables are reproduced verbatim in this module, as data.
-They do not all survive verification: some classes leave frame vertices
-undominated or miss the optimal cardinality. Every correction applied on top
-of the baseline is recorded in the bundled deviation ledger (see
-griddom.deviations), keyed by the ledger ids referenced in comments below.
-Three classes provably cannot reach the optimal cardinality under this
-architecture at all; those are constructed from the baseline tables
-unchanged and flagged.
+The paper's case tables are reproduced verbatim in this module, as data, and
+build(dims, {}) evaluates them as printed. They do not all survive
+verification. What each class changes from them is stated once, as the
+`edit` of its records in the deviation ledger (griddom.deviations), and
+construct() passes the class's edit to build(). With those edits every one
+of the 25 classes reaches the optimal cardinality with a [1,2]-set.
 
 A pattern is stored as two row-major int32 (k, 2) coordinate arrays. Work
 and memory are proportional to the size of the output; no m*n-sized
 structure is ever allocated here.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
-from .deviations import deviation_ids_for_class
+from .deviations import class_edit
 from .grid import GridDims, Vertex, coordinate_array, residue_class
 
 MIN_SIDE = 16
@@ -32,23 +31,6 @@ MIN_SIDE = 16
 # Sides above this cannot be stored as int32 coordinates next to the
 # zero-padded border the verifier uses.
 MAX_SIDE = 2**31 - 3
-
-# Classes (n mod 5, m mod 5) built on the transposed grid: their mirror class
-# reaches the optimal cardinality while the direct tables provably cannot
-# (ledger DEV-ORIENT-*).
-TRANSPOSED_CLASSES = frozenset({(0, 1), (0, 3), (0, 4), (1, 2), (4, 1), (4, 2)})
-
-# Classes whose last-row disk range starts at column 2 instead of 3, adding
-# the disk at (m, 2) (ledger DEV-FIX-13 / DEV-FIX-21 / DEV-FIX-34).
-LAST_ROW_FROM_COL2 = frozenset({(1, 3), (2, 1), (3, 4)})
-
-# Class (3,3) uses diagonal offset 4: with the baseline offset 3 no choice of
-# white squares reaches the optimal cardinality (ledger DEV-FIX-33).
-PHASE_OVERRIDES = {(3, 3): 4}
-
-# Classes that cannot reach the optimal cardinality in any orientation, with
-# the (proven minimal) excess the construction attains (ledger DEV-DEFICIT-*).
-DEFICIT_CLASSES = {(0, 0): 2, (0, 2): 1, (2, 0): 1}
 
 
 def pattern_class(dims: GridDims) -> tuple[int, int]:
@@ -89,59 +71,12 @@ def _check_dims(dims: GridDims) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Step 1: black disks
-# ---------------------------------------------------------------------------
-
-def _lattice(dims: GridDims, corrections: bool = True) -> np.ndarray:
-    """All black disks as a row-major int32 (k, 2) array (direct orientation).
-
-    Row p holds the columns congruent to row_offset(a1, p) mod 5 in [3, n-2]
-    for p = 1, in [1, n] for the middle rows and in [lo, n-2] for p = m, where
-    lo is 2 for the classes in LAST_ROW_FROM_COL2 and 3 otherwise. So every
-    row is one range of step 5, and the middle rows repeat with period 5.
-    The array is filled straight from those per-row ranges.
-    """
-    m, n = dims.m, dims.n
-    cls = pattern_class(dims)
-    a1 = PHASE_OVERRIDES.get(cls, first_column_offset(n)) if corrections \
-        else first_column_offset(n)
-    lo_last = 2 if corrections and cls in LAST_ROW_FROM_COL2 else 3
-
-    def row(p, lo, hi):
-        """(first column, end of the column range, disk count) of row p"""
-        first = lo + (row_offset(a1, p) - lo) % 5
-        count = (hi - first) // 5 + 1
-        return first, first + 5 * count, count
-
-    middle = [row(p, 1, n) for p in range(2, 7)]
-    per_row = ([row(1, 3, n - 2)] + (middle * ((m - 2) // 5 + 1))[:m - 2]
-               + [row(m, lo_last, n - 2)])
-    firsts, ends, counts = zip(*per_row)
-    pairs = chain.from_iterable(map(zip, map(repeat, range(1, m + 1)),
-                                    map(range, firsts, ends, repeat(5))))
-    return np.fromiter(chain.from_iterable(pairs), dtype=np.int32,
-                       count=2 * sum(counts)).reshape(-1, 2)
-
-
-def black_disks(dims: GridDims, corrections: bool = True) -> tuple[Vertex, ...]:
-    """All black disks for dims in row-major order (direct orientation).
-
-    First and last row use columns in [3, n-2] (from [2, n-2] for the three
-    classes in LAST_ROW_FROM_COL2); middle rows use the full range [1, n].
-    Every sub-grid vertex ends up with exactly one disk in its closed
-    neighborhood.
-    """
-    _check_dims(dims)
-    return _vertices(_lattice(dims, corrections))
-
-
-# ---------------------------------------------------------------------------
-# Step 2: white squares (baseline case tables, verbatim, as data)
+# The paper's case tables, verbatim, as data
 # ---------------------------------------------------------------------------
 
 # A table entry (k, i, dj, extras) reads A_k^(i, B+dj) + extras, where
 # A_k^(i,j) = [5i+k, ..., 5j+k] (grid.residue_class) and B is T = m // 5 for
-# the column tables and S = n // 5 for the row tables. An extra e < 0 stands
+# the column tables and S = n // 5 for the row tables. An extra e <= 0 stands
 # for side + e, so (3, 1, -2, (2, -1)) on a column is A_3^(1,T-2) + {2, m-1}.
 
 # first-row whites, keyed n mod 5
@@ -182,82 +117,82 @@ SIDES = {
     (4, 4): ((3, 1, -1, (2,)), (3, 1, -1, (2,)), (1, 1, -1, (-2,))),
 }
 
-# Verifier-driven corrections: (first row, first column, last column, last
-# row) entries replacing the baseline; None keeps the baseline entry.
-CORRECTIONS = {
-    # DEV-FIX-33: offset-4 diagonal needs its own frame tables
-    (3, 3): ((2, 1, 0, ()), (4, 1, -1, (2,)), (2, 1, 0, ()), (4, 1, -1, (2,))),
-    # DEV-FIX-11: (m, n-2) is redundant
-    (1, 1): (None, None, None, (4, 1, -2, (3, -1))),
-    # DEV-FIX-13: (m-5, n) was uncovered
-    (1, 3): (None, None, (3, 1, -1, (2,)), None),
-    # DEV-FIX-14: m-2 leaves (m, n) uncovered
-    (1, 4): (None, None, (3, 1, -1, (2, -1)), None),
-    # DEV-FIX-23: (m-1, 1) was uncovered
-    (2, 3): (None, (2, 0, 0, ()), None, None),
-    # DEV-FIX-44: both bottom corners bare
-    (4, 4): (None, (3, 1, -1, (2, -1)), (3, 1, -1, (2, -1)), None),
-}
+# the ledger edit keys of the four frame entries, in the order of the tables
+FRAME_KEYS = ("first_row", "first_col", "last_col", "last_row")
+
+
+def _at(e: int, side: int) -> int:
+    return e if e > 0 else side + e
 
 
 def _entry(spec, blocks: int, side: int) -> list[int]:
     k, i, dj, extras = spec
-    return residue_class(k, i, blocks + dj) + [e if e > 0 else side + e for e in extras]
+    return residue_class(k, i, blocks + dj) + [_at(e, side) for e in extras]
 
 
-def _frame_tables(m: int, n: int, corrections: bool = True):
-    """(first row, first column, last column, last row) values for the one
-    class that (m, n) selects; entries past the grid are kept."""
-    cls = (n % 5, m % 5)
-    specs = (FIRST_ROW[cls[0]],) + SIDES[cls]
-    if corrections and cls in CORRECTIONS:
-        specs = tuple(base if fix is None else fix
-                      for base, fix in zip(specs, CORRECTIONS[cls]))
-    fr, fc, lc, lr = specs
+# ---------------------------------------------------------------------------
+# Builder
+# ---------------------------------------------------------------------------
+
+def _lattice(dims: GridDims, edit: Mapping) -> np.ndarray:
+    """All black disks as a row-major int32 (k, 2) array (direct orientation).
+
+    Row p holds the columns congruent to row_offset(a1, p) mod 5 in [3, n-2]
+    for p = 1, in [1, n] for the middle rows and in [lo, n-2] for p = m,
+    where lo is 3 unless the edit sets last_row_from. So every row is one
+    range of step 5, and the middle rows repeat with period 5. Each disk the
+    edit removes splits its row's range in two. The array is filled straight
+    from those ranges.
+    """
+    m, n = dims.m, dims.n
+    a1 = edit.get("offset", first_column_offset(n))
+
+    def row(p, lo, hi):
+        """(first column, end of the column range) of row p"""
+        first = lo + (row_offset(a1, p) - lo) % 5
+        return first, first + 5 * ((hi - first) // 5 + 1)
+
+    middle = [row(p, 1, n) for p in range(2, 7)]
+    per_row = ([row(1, 3, n - 2)] + (middle * ((m - 2) // 5 + 1))[:m - 2]
+               + [row(m, edit.get("last_row_from", 3), n - 2)])
+    segments = [(p, *ends) for p, ends in zip(range(1, m + 1), per_row)]
+    removed = [(_at(r, m), _at(c, n)) for r, c in edit.get("remove", ())]
+    # bottom-up, so row r's first segment is still at index r - 1
+    for r, c in sorted(removed, reverse=True):
+        _, first, end = segments[r - 1]
+        if not (first <= c < end and (c - first) % 5 == 0):
+            raise ValueError(f"edit removes ({r}, {c}), which holds no disk")
+        segments[r - 1:r] = [(r, first, c), (r, c + 5, end)]
+    rows, firsts, ends = zip(*segments)
+    pairs = chain.from_iterable(map(zip, map(repeat, rows),
+                                    map(range, firsts, ends, repeat(5))))
+    return np.fromiter(chain.from_iterable(pairs), dtype=np.int32,
+                       count=2 * (sum(ends) - sum(firsts)) // 5).reshape(-1, 2)
+
+
+def build(dims: GridDims, edit: Mapping) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Black disks and white squares of the case tables for dims, with one
+    class's ledger edit applied (direct orientation, m, n >= 16).
+
+    Returns the disks as a row-major int32 (k, 2) array and the whites as
+    unsorted (row, col) pairs. build(dims, {}) is the paper's baseline, which
+    the ledger's counterexamples replay. The edit keys are described on
+    deviations.DeviationEntry; "transpose" is construct()'s to apply.
+
+    Table entries may reach past the grid: column 5S+4 of class (0,4)'s last
+    row denotes no vertex and is dropped (ledger DEV-CLIP-04).
+    """
+    _check_dims(dims)
+    m, n = dims.m, dims.n
+    black = _lattice(dims, edit)
+    specs = (FIRST_ROW[n % 5],) + SIDES[n % 5, m % 5]
+    fr, fc, lc, lr = (edit.get(key, spec) for key, spec in zip(FRAME_KEYS, specs))
     S, T = n // 5, m // 5
-    return _entry(fr, S, n), _entry(fc, T, m), _entry(lc, T, m), _entry(lr, S, n)
-
-
-def _sides_baseline(m: int, n: int):
-    """Baseline (first-column rows, last-column rows, last-row columns)."""
-    return _frame_tables(m, n, corrections=False)[1:]
-
-
-def _frame(dims: GridDims, corrections: bool = True) -> tuple[list[int], list[int]]:
-    """Rows and columns of the white squares of every frame group (direct
-    orientation, unsorted).
-
-    Baseline tables can emit a column index above n for class (0,4); such
-    entries denote no vertex and are dropped (ledger DEV-CLIP-04).
-    """
-    m, n = dims.m, dims.n
-    fr, fc, lc, lr = _frame_tables(m, n, corrections)
-    lr = [q for q in lr if q <= n]
-    return ([1] * len(fr) + fc + lc + [m] * len(lr),
-            fr + [1] * len(fc) + [n] * len(lc) + lr)
-
-
-def white_squares_first_row(dims: GridDims, corrections: bool = True) -> tuple[Vertex, ...]:
-    """White squares in row 1 (direct orientation); depends only on n except
-    for the class (3,3) phase correction."""
-    _check_dims(dims)
-    return tuple(Vertex(1, q) for q in sorted(_frame_tables(dims.m, dims.n, corrections)[0]))
-
-
-def white_squares_sides(
-    dims: GridDims, corrections: bool = True
-) -> tuple[tuple[Vertex, ...], tuple[Vertex, ...], tuple[Vertex, ...]]:
-    """White squares on (first column, last column, last row), direct orientation.
-
-    Baseline tables can emit a column index above n for class (0,4); such
-    entries denote no vertex and are dropped (ledger DEV-CLIP-04).
-    """
-    _check_dims(dims)
-    m, n = dims.m, dims.n
-    _, fc, lc, lr = _frame_tables(m, n, corrections)
-    return (tuple(Vertex(p, 1) for p in sorted(p for p in fc if 1 <= p <= m)),
-            tuple(Vertex(p, n) for p in sorted(p for p in lc if 1 <= p <= m)),
-            tuple(Vertex(m, q) for q in sorted(q for q in lr if 1 <= q <= n)))
+    fr, fc, lc = _entry(fr, S, n), _entry(fc, T, m), _entry(lc, T, m)
+    lr = [q for q in _entry(lr, S, n) if q <= n]
+    white = list(zip([1] * len(fr) + fc + lc + [m] * len(lr),
+                     fr + [1] * len(fc) + [n] * len(lc) + lr))
+    return black, white
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +303,26 @@ class PatternSet:
         }
 
 
-def construct(dims: GridDims, corrections: bool = True) -> PatternSet:
-    """Build the candidate dominating set for dims.
+def construct(dims: GridDims) -> PatternSet:
+    """Build a minimum dominating set for dims.
 
-    Classes in TRANSPOSED_CLASSES are built on the transposed grid and flipped
-    back; everything else uses the direct case tables. With corrections
-    enabled the result is dominating, a [1,2]-set, and covers the sub-grid
-    exactly once for every class; its size equals gamma_formula(dims) except
-    for the classes in DEFICIT_CLASSES (see the deviation ledger).
+    The class's ledger records (deviations.class_edit) state what changes
+    from the paper's tables. A class whose record transposes is built as its
+    mirror class on the transposed grid and flipped back. For every class the
+    result dominates, is a [1,2]-set, covers the sub-grid exactly once and
+    has size gamma_formula(dims).
     """
     _check_dims(dims)
-    cls = pattern_class(dims)
-    transposed = corrections and cls in TRANSPOSED_CLASSES
-    core = dims.transposed if transposed else dims
-    black = _lattice(core, corrections)
-    rows, cols = _frame(core, corrections)
+    ids, edit = class_edit(pattern_class(dims))
+    transposed = edit.get("transpose", False)
+    core = dims
+    if transposed:
+        core = dims.transposed
+        core_ids, edit = class_edit(pattern_class(core))
+        ids += tuple(i for i in core_ids if i not in ids)
+    black, white = build(core, edit)
     if transposed:
         # PatternSet re-sorts the swapped black columns into row-major order
-        black, rows, cols = black[:, ::-1], cols, rows
+        black, white = black[:, ::-1], [(c, r) for r, c in white]
     # the frame is small: sorting it here spares PatternSet its numpy sort
-    white = sorted(zip(rows, cols))
-    ids = deviation_ids_for_class(cls, transposed) if corrections else ()
-    return PatternSet(dims, black, white, ids, transposed)
+    return PatternSet(dims, black, sorted(white), ids, transposed)

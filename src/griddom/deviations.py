@@ -1,12 +1,15 @@
 """Machine-readable deviation ledger.
 
-Every divergence between the baseline case tables bundled in
+Every divergence between the paper's case tables bundled in
 griddom.construction and what construct() actually emits is recorded here,
 each justified by a verifier counterexample or an exhaustive-search bound.
-The ledger ships as JSON (data/deviations.json, regenerated from this module)
-and the active copy may be swapped via the GRIDDOM_DEVIATION_LEDGER
-environment variable; count_cross_check uses the active copy to decide which
-count-table mismatches are expected.
+An entry's `edit` is the machine-readable form of its `corrected` text and
+the one statement of what a class changes: construct() applies the merged
+edits that class_edit() returns. The ledger ships as JSON
+(data/deviations.json, regenerated from this module) and the active copy may
+be swapped via the GRIDDOM_DEVIATION_LEDGER environment variable;
+count_cross_check uses the active copy to decide which count-table
+mismatches are expected, while construct() always reads this module.
 """
 
 import json
@@ -36,8 +39,19 @@ class TableCell:
 
 @dataclass(frozen=True)
 class DeviationEntry:
+    """One ledger record.
+
+    edit is what construct() applies for the listed classes, None for an
+    entry it does not apply (count-table errata, DEV-CLIP-04). Its keys are
+    transpose (build on the transposed grid, as the mirror class), offset
+    (the diagonal offset a_1), last_row_from (first column of the last-row
+    disk range), first_row / first_col / last_col / last_row (a table entry
+    (k, i, dj, extras) replacing the paper's) and remove (disks to drop).
+    Extras and cells read a value e <= 0 as side + e.
+    """
+
     id: str
-    kind: str                      # reading-correction | table-correction | orientation | table-errata | deficit
+    kind: str                      # reading-correction | table-correction | orientation | table-errata
     classes: tuple[tuple[int, int], ...]   # (n mod 5, m mod 5) keys affected
     target: str
     baseline: str
@@ -45,6 +59,7 @@ class DeviationEntry:
     rationale: str
     counterexample: dict | None = None
     table_cells: tuple[TableCell, ...] = field(default_factory=tuple)
+    edit: dict | None = None
 
 
 DEVIATIONS: tuple[DeviationEntry, ...] = (
@@ -58,6 +73,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         rationale="p indexes rows and each row selects columns by its own "
                   "offset; as written the rule is vacuous for m > n and "
                   "mis-selects columns whenever a_p != a_1.",
+        edit={},
     ),
     DeviationEntry(
         id="DEV-DL-OFFSET",
@@ -67,6 +83,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         baseline="columns 5k+a_n with range guard on 5k+a_1",
         corrected="columns 5k+a_m with range guard on 5k+a_m",
         rationale="the last row is row m; its disks follow row m's offset.",
+        edit={},
     ),
     DeviationEntry(
         id="DEV-FIX-11",
@@ -80,6 +97,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         counterexample={"m": 16, "n": 16, "baseline_cardinality": 61,
                         "optimal": 60},
         table_cells=(TableCell("white", 1, 1, +1),),
+        edit={"last_row": (4, 1, -2, (3, -1))},
     ),
     DeviationEntry(
         id="DEV-FIX-13",
@@ -94,6 +112,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
                         "undominated": [[13, 16], [17, 2], [18, 1], [18, 2], [18, 3]],
                         "baseline_cardinality": 66, "optimal": 68},
         table_cells=(TableCell("white", 1, 3, -1),),
+        edit={"last_col": (3, 1, -1, (2,)), "last_row_from": 2},
     ),
     DeviationEntry(
         id="DEV-FIX-14",
@@ -105,6 +124,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         rationale="with the extra at row m-2 both (m, n) and the near-corner "
                   "(m-1, n-1) stay undominated; row m-1 covers both.",
         counterexample={"m": 19, "n": 16, "undominated": [[18, 15], [19, 16]]},
+        edit={"last_col": (3, 1, -1, (2, -1))},
     ),
     DeviationEntry(
         id="DEV-FIX-21",
@@ -118,6 +138,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         counterexample={"m": 16, "n": 17,
                         "undominated": [[15, 2], [16, 1], [16, 2], [16, 3]],
                         "baseline_cardinality": 63, "optimal": 64},
+        edit={"last_row_from": 2},
     ),
     DeviationEntry(
         id="DEV-FIX-23",
@@ -131,6 +152,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         counterexample={"m": 18, "n": 17, "undominated": [[17, 1], [18, 1]],
                         "baseline_cardinality": 71, "optimal": 72},
         table_cells=(TableCell("white", 2, 3, -1),),
+        edit={"first_col": (2, 0, 0, ())},
     ),
     DeviationEntry(
         id="DEV-FIX-34",
@@ -144,6 +166,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         counterexample={"m": 19, "n": 18,
                         "undominated": [[18, 2], [19, 1], [19, 2], [19, 3]],
                         "baseline_cardinality": 79, "optimal": 80},
+        edit={"last_row_from": 2},
     ),
     DeviationEntry(
         id="DEV-FIX-44",
@@ -159,6 +182,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
                         "undominated": [[18, 1], [18, 18], [18, 19], [19, 1], [19, 19]],
                         "baseline_cardinality": 82, "optimal": 84},
         table_cells=(TableCell("white", 4, 4, -2),),
+        edit={"first_col": (3, 1, -1, (2, -1)), "last_col": (3, 1, -1, (2, -1))},
     ),
     DeviationEntry(
         id="DEV-FIX-33",
@@ -173,6 +197,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
                   "the optimal size; offset 4 reaches it with the tables above.",
         counterexample={"m": 18, "n": 18, "baseline_minimum": 77, "optimal": 76},
         table_cells=(TableCell("first", 3, 3, -1), TableCell("white", 3, 3, +1)),
+        edit={"offset": 4, "first_row": (2, 1, 0, ()), "first_col": (4, 1, -1, (2,)),
+              "last_col": (2, 1, 0, ()), "last_row": (4, 1, -1, (2,))},
     ),
     DeviationEntry(
         id="DEV-ORIENT",
@@ -192,6 +218,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
             {"class": [4, 1], "m": 16, "n": 19, "direct_minimum": 72, "optimal": 71},
             {"class": [4, 2], "m": 17, "n": 19, "direct_minimum": 76, "optimal": 75},
         ]},
+        edit={"transpose": True},
     ),
     DeviationEntry(
         id="DEV-CLIP-04",
@@ -206,45 +233,48 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         counterexample={"m": 19, "n": 20, "out_of_range_column": 24},
     ),
     DeviationEntry(
-        id="DEV-DEFICIT-00",
-        kind="deficit",
+        id="DEV-FIX-00",
+        kind="table-correction",
         classes=((0, 0),),
-        target="class n=5k / m=5l",
-        baseline="bundled tables, emitted unchanged",
-        corrected="none: cardinality check fails by +2",
-        rationale="exhaustive search over all frame-white arrangements and "
-                  "optional corner disks proves the minimum is optimal+2 with "
-                  "the bundled offset and optimal+1 for every other offset, in "
-                  "both orientations; no table amendment can restore the "
-                  "cardinality invariant, so the baseline is kept.",
-        counterexample={"m": 20, "n": 20, "constructed": 94,
-                        "architecture_minimum": 94, "optimal": 92},
-        table_cells=(),
+        target="border disks and first-column whites, class n=5k / m=5l",
+        baseline="disks (2, n) and (m-1, 1); first column A_2^(0,T-2) + {m-3}",
+        corrected="drop the disks (2, n) and (m-1, 1); first column "
+                  "A_2^(0,T-2) + {m-2}",
+        rationale="the baseline is dominating and a [1,2]-set but two "
+                  "members over optimal: the middle-row disk (2, n) in the "
+                  "last column is redundant, and dropping the disk (m-1, 1) "
+                  "while moving the white (m-3, 1) to (m-2, 1) keeps every "
+                  "cell covered. A black at (m-2, 1) would double-cover the "
+                  "sub-grid cell (m-2, 2).",
+        counterexample={"m": 20, "n": 20, "baseline_cardinality": 94,
+                        "optimal": 92},
+        edit={"remove": ((2, 0), (-1, 1)), "first_col": (2, 0, -2, (-2,))},
     ),
     DeviationEntry(
-        id="DEV-DEFICIT-02",
-        kind="deficit",
+        id="DEV-FIX-02",
+        kind="table-correction",
         classes=((0, 2),),
-        target="class n=5k / m=5l+2",
-        baseline="bundled tables, emitted unchanged",
-        corrected="none: cardinality check fails by +1",
-        rationale="exhaustive search proves optimal+1 is the minimum for this "
-                  "class at every offset and in both orientations; the "
-                  "baseline already attains it.",
-        counterexample={"m": 17, "n": 20, "constructed": 80,
-                        "architecture_minimum": 80, "optimal": 79},
+        target="last-column border disk, class n=5k / m=5l+2",
+        baseline="middle-row disk at (2, n)",
+        corrected="drop the disk (2, n)",
+        rationale="the baseline is one member over optimal; every cell the "
+                  "disk (2, n) covers is covered by another member.",
+        counterexample={"m": 17, "n": 20, "baseline_cardinality": 80,
+                        "optimal": 79},
+        edit={"remove": ((2, 0),)},
     ),
     DeviationEntry(
-        id="DEV-DEFICIT-20",
-        kind="deficit",
+        id="DEV-FIX-20",
+        kind="table-correction",
         classes=((2, 0),),
-        target="class n=5k+2 / m=5l",
-        baseline="bundled tables, emitted unchanged",
-        corrected="none: cardinality check fails by +1",
-        rationale="mirror of class (0,2): optimal+1 proven minimal in both "
-                  "orientations and at every offset.",
-        counterexample={"m": 20, "n": 17, "constructed": 80,
-                        "architecture_minimum": 80, "optimal": 79},
+        target="first-column border disk, class n=5k+2 / m=5l",
+        baseline="middle-row disk at (m-1, 1)",
+        corrected="drop the disk (m-1, 1)",
+        rationale="the baseline is one member over optimal; every cell the "
+                  "disk (m-1, 1) covers is covered by another member.",
+        counterexample={"m": 20, "n": 17, "baseline_cardinality": 80,
+                        "optimal": 79},
+        edit={"remove": ((-1, 1),)},
     ),
     DeviationEntry(
         id="DEV-T2-MID-N1",
@@ -258,26 +288,15 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         table_cells=(TableCell("middle", 1, None, +10),),
     ),
     DeviationEntry(
-        id="DEV-T2-FIRST-N0",
-        kind="table-errata",
-        classes=((0, 0), (0, 2)),
-        target="black-disk count table, first block, n = 5k",
-        baseline="5S-2",
-        corrected="5S-1 (row 1 holds S-1 disks and rows 2-5 hold 4S)",
-        rationale="the placement rules the table summarizes yield 5S-1.",
-        table_cells=(TableCell("first", 0, None, -1),),
-    ),
-    DeviationEntry(
         id="DEV-T2-LAST-M0",
         kind="table-errata",
-        classes=((0, 0), (2, 0), (3, 0)),
-        target="black-disk count table, last block, m = 5l",
-        baseline="5S-2 / 5S+1 / 5S+2 for n = 5k / 5k+2 / 5k+3",
-        corrected="5S-1 / 5S+2 / 5S+3",
-        rationale="each cell is one below the count the placement rules "
+        classes=((3, 0),),
+        target="black-disk count table, last block, n = 5k+3 / m = 5l",
+        baseline="5S+2",
+        corrected="5S+3",
+        rationale="the cell is one below the count the placement rules "
                   "yield for the final five rows.",
-        table_cells=(TableCell("last", 0, 0, -1), TableCell("last", 2, 0, -1),
-                     TableCell("last", 3, 0, -1)),
+        table_cells=(TableCell("last", 3, 0, -1),),
     ),
     DeviationEntry(
         id="DEV-T3-N2M0",
@@ -304,35 +323,18 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
 
 BY_ID = {e.id: e for e in DEVIATIONS}
 
-_CLASS_FIXES = {
-    (1, 1): ("DEV-FIX-11",),
-    (1, 3): ("DEV-FIX-13",),
-    (1, 4): ("DEV-FIX-14",),
-    (2, 1): ("DEV-FIX-21",),
-    (2, 3): ("DEV-FIX-23",),
-    (3, 3): ("DEV-FIX-33",),
-    (3, 4): ("DEV-FIX-34",),
-    (4, 4): ("DEV-FIX-44",),
-}
-
-_DEFICIT_IDS = {(0, 0): "DEV-DEFICIT-00", (0, 2): "DEV-DEFICIT-02",
-                (2, 0): "DEV-DEFICIT-20"}
-
 
 @cache
-def deviation_ids_for_class(cls: tuple[int, int], transposed: bool) -> tuple[str, ...]:
-    """Ledger ids a construct() call for this class applies or triggers
-    (one of 50 answers, so each is computed once)."""
-    ids = ["DEV-DM-RANGE", "DEV-DL-OFFSET"]
-    if transposed:
-        ids.append("DEV-ORIENT")
-        core = (cls[1], cls[0])
-        ids.extend(_CLASS_FIXES.get(core, ()))
-    else:
-        ids.extend(_CLASS_FIXES.get(cls, ()))
-        if cls in _DEFICIT_IDS:
-            ids.append(_DEFICIT_IDS[cls])
-    return tuple(ids)
+def class_edit(cls: tuple[int, int]) -> tuple[tuple[str, ...], Mapping]:
+    """Ids of the entries construct() applies to class (n mod 5, m mod 5),
+    and their edits merged into one read-only map.
+
+    Reads DEVIATIONS, never the $GRIDDOM_DEVIATION_LEDGER override."""
+    entries = [e for e in DEVIATIONS if e.edit is not None and cls in e.classes]
+    edit = {}
+    for e in entries:
+        edit.update(e.edit)
+    return tuple(e.id for e in entries), MappingProxyType(edit)
 
 
 def ledger_as_json() -> str:

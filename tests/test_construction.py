@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (DEFICIT_CLASSES, GridDims, LAST_ROW_FROM_COL2,
-                     TRANSPOSED_CLASSES, Vertex,
-                     black_disks, boundary, construct, coverage_map,
+from griddom import (GridDims, Vertex, construct, coverage_map,
                      first_column_offset, gamma_formula, pattern_class,
-                     row_offset, verify_pattern, white_squares_first_row,
-                     white_squares_sides)
-from griddom.construction import PatternSet
+                     row_offset, verify_pattern)
+from griddom.construction import FRAME_KEYS, PatternSet, build
+from griddom.deviations import BY_ID, class_edit
+
+CLASSES = [(rn, rm) for rn in range(5) for rm in range(5)]
 
 REFERENCE_SIZES = {
     (16, 16): 60,
@@ -50,52 +50,55 @@ def test_gamma_formula_values():
 
 
 def test_black_disks_16x16_first_rows():
-    disks = set(black_disks(GridDims(16, 16)))
+    disks = set(construct(GridDims(16, 16)).black)
     assert {v for v in disks if v.row == 1} == {(1, 6), (1, 11)}
     assert {v for v in disks if v.row == 2} == {(2, 4), (2, 9), (2, 14)}
 
 
 def test_black_disks_20x20_block_counts():
-    # per 5-row block: 19 / 20 / 20 / 19; the shipped count table says
-    # 18 / 20 / 20 / 18 and is corrected through the ledger (DEV-T2-*)
-    disks = black_disks(GridDims(20, 20))
+    # per 5-row block: 18 / 20 / 20 / 18, the paper's printed counts; the
+    # lattice alone holds 19 / 20 / 20 / 19, and DEV-FIX-00 drops the disks
+    # (2, 20) and (19, 1)
+    disks = construct(GridDims(20, 20)).black
     per_block = [0] * 4
     for r, _ in disks:
         per_block[(r - 1) // 5] += 1
-    assert per_block == [19, 20, 20, 19]
-    assert len(disks) == 78
+    assert per_block == [18, 20, 20, 18]
+    assert len(disks) == 76
+    assert (2, 20) not in disks and (19, 1) not in disks
 
 
 def test_black_disks_row_major_and_bounds():
     dims = GridDims(31, 17)
-    disks = black_disks(dims)
+    disks = construct(dims).black
     assert list(disks) == sorted(disks)
-    assert all(dims.in_bounds(v) for v in disks)
+    assert all(1 <= r <= dims.m and 1 <= c <= dims.n for r, c in disks)
 
 
 def test_white_squares_first_row_examples():
-    assert white_squares_first_row(GridDims(16, 16)) == ((1, 2), (1, 8), (1, 14))
-    assert white_squares_first_row(GridDims(16, 18)) == ((1, 5), (1, 10), (1, 16))
+    assert construct(GridDims(16, 16)).tags["FR"] == ((1, 2), (1, 8), (1, 14))
+    assert construct(GridDims(16, 18)).tags["FR"] == ((1, 5), (1, 10), (1, 16))
     # n = 20: the length-S-1 run {9, 14, 19} plus the fixed extra at 3
-    assert white_squares_first_row(GridDims(16, 20)) == ((1, 3), (1, 9), (1, 14), (1, 19))
+    assert construct(GridDims(20, 20)).tags["FR"] == ((1, 3), (1, 9), (1, 14), (1, 19))
 
 
 def test_white_squares_sides_examples():
-    fc, lc, lr = white_squares_sides(GridDims(16, 16))
-    assert fc == ((3, 1), (9, 1), (15, 1))
-    fc, lc, lr = white_squares_sides(GridDims(20, 20))
-    assert lr == ((20, 2), (20, 7), (20, 12), (20, 18))
+    assert construct(GridDims(16, 16)).tags["FC"] == ((3, 1), (9, 1), (15, 1))
+    p = construct(GridDims(20, 20))
+    assert p.tags["LR"] == ((20, 2), (20, 7), (20, 12), (20, 18))
+    # class (0,0): the first-column extra sits at row m-2 (DEV-FIX-00)
+    assert p.tags["FC"] == ((2, 1), (7, 1), (12, 1), (18, 1))
     # class (1,4): the last-column extra sits at row m-1 (DEV-FIX-14)
-    fc, lc, lr = white_squares_sides(GridDims(24, 21))
-    assert lc == ((2, 21), (8, 21), (13, 21), (18, 21), (23, 21))
+    assert construct(GridDims(24, 21)).tags["LC"] == (
+        (2, 21), (8, 21), (13, 21), (18, 21), (23, 21))
 
 
 def test_white_squares_on_boundary():
-    for dims in (GridDims(16, 16), GridDims(23, 37), GridDims(40, 18)):
-        b = boundary(dims)
-        assert set(white_squares_first_row(dims)) <= b
-        for group in white_squares_sides(dims):
-            assert set(group) <= b
+    for m in range(16, 41):
+        for n in range(16, 41):
+            w = construct(GridDims(m, n)).white_rc
+            on_frame = (w[:, 0] == 1) | (w[:, 0] == m) | (w[:, 1] == 1) | (w[:, 1] == n)
+            assert on_frame.all(), (m, n)
 
 
 @pytest.mark.parametrize("mn,size", sorted(REFERENCE_SIZES.items()))
@@ -130,12 +133,25 @@ def test_construct_black_white_disjoint_and_tagged():
 
 
 def test_construct_composes_the_operations():
-    # direct-orientation classes assemble exactly from the three operations
-    for dims in (GridDims(16, 16), GridDims(20, 20), GridDims(24, 23)):
+    # a direct build is build(dims, edit) for its class's ledger edit, and
+    # the ids of the records that state it; a class that no correction
+    # names, like (2,2), is the paper's baseline
+    for dims in (GridDims(16, 16), GridDims(20, 20), GridDims(24, 23), GridDims(22, 22)):
         p = construct(dims)
-        assert p.black == black_disks(dims)
-        fc, lc, lr = white_squares_sides(dims)
-        assert set(p.white) == set(white_squares_first_row(dims)) | set(fc) | set(lc) | set(lr)
+        ids, edit = class_edit(pattern_class(dims))
+        black, white = build(dims, edit)
+        assert np.array_equal(p.black_rc, black)
+        assert p.white == tuple(sorted(white))
+        assert p.deviations == ids
+    assert class_edit((2, 2)) == (("DEV-DM-RANGE", "DEV-DL-OFFSET"), {})
+    # remove: two disks of one row, a coordinate e <= 0 read as side + e
+    d = GridDims(20, 20)
+    base = [tuple(v) for v in build(d, {})[0].tolist()]
+    black = [tuple(v) for v in build(d, {"remove": ((2, 0), (2, -5))})[0].tolist()]
+    assert black == [v for v in base if v not in {(2, 20), (2, 15)}]
+    assert len(black) == len(base) - 2
+    with pytest.raises(ValueError, match=r"\(2, 1\), which holds no disk"):
+        build(d, {"remove": ((2, 1),)})
 
 
 def test_transposed_classes_flagged():
@@ -160,16 +176,20 @@ def test_transposed_build_equals_flipped_core():
         assert list(p.white) == flip(core.white)
 
 
+def _baseline(dims):
+    return PatternSet(dims, *build(dims, {}))
+
+
 def test_baseline_reproduces_ledger_counterexamples():
     # class (1,1): baseline is one over optimal
-    base = construct(GridDims(16, 16), corrections=False)
+    base = _baseline(GridDims(16, 16))
     assert base.cardinality == 61
     # class (1,4): baseline leaves the bottom-right corner undominated
-    base = construct(GridDims(19, 16), corrections=False)
+    base = _baseline(GridDims(19, 16))
     report = coverage_map(GridDims(19, 16), set(base.black) | set(base.white))
     assert set(report.undominated) == {(18, 15), (19, 16)}
     # class (2,1): four uncovered cells near (m, 2), one member short
-    base = construct(GridDims(16, 17), corrections=False)
+    base = _baseline(GridDims(16, 17))
     report = coverage_map(GridDims(16, 17), set(base.black) | set(base.white))
     assert set(report.undominated) == {(15, 2), (16, 1), (16, 2), (16, 3)}
     assert base.cardinality == gamma_formula(GridDims(16, 17)) - 1
@@ -194,34 +214,39 @@ def test_construct_memory_tracks_output_not_area():
 @given(st.builds(GridDims, st.integers(16, 80), st.integers(16, 80)))
 @settings(max_examples=60, deadline=None)
 def test_construct_envelope(dims):
-    """Constructed patterns always dominate, respect the [1,2] bound, and
-    cover the sub-grid uniquely; cardinality is optimal except for the three
-    deficit classes, which exceed it by exactly their proven minimum."""
+    """Constructed patterns always dominate, respect the [1,2] bound, cover
+    the sub-grid uniquely and have the optimal cardinality."""
     p = construct(dims)
     v = verify_pattern(p)
     assert v.check("dominating").passed
     assert v.check("one_two").passed
     assert v.check("interior_unique").passed
-    cls = pattern_class(dims)
-    if cls in DEFICIT_CLASSES:
-        assert v.cardinality == v.expected_cardinality + DEFICIT_CLASSES[cls]
-    else:
-        assert v.check("cardinality").passed
+    assert v.check("cardinality").passed
     assert v.total_coverage_within_two
 
 
 def test_class_maps_are_consistent():
-    assert TRANSPOSED_CLASSES == {(0, 1), (0, 3), (0, 4), (1, 2), (4, 1), (4, 2)}
+    transposed = {cls for cls in CLASSES if class_edit(cls)[1].get("transpose")}
+    assert transposed == {(0, 1), (0, 3), (0, 4), (1, 2), (4, 1), (4, 2)}
+    assert transposed == set(BY_ID["DEV-ORIENT"].classes)
+    assert {cls for cls in CLASSES if "last_row_from" in class_edit(cls)[1]} == {
+        (1, 3), (2, 1), (3, 4)}
     # a transposed class's mirror must not itself transpose
-    for (a, b) in TRANSPOSED_CLASSES:
-        assert (b, a) not in TRANSPOSED_CLASSES
-    assert set(DEFICIT_CLASSES) == {(0, 0), (0, 2), (2, 0)}
+    for (a, b) in transposed:
+        assert not class_edit((b, a))[1].get("transpose")
+    # build reads only these keys, and no two records of a class set the
+    # same one, so merging a class's records loses nothing
+    known = {"transpose", "offset", "last_row_from", "remove", *FRAME_KEYS}
+    for cls in CLASSES:
+        ids, edit = class_edit(cls)
+        keys = [k for i in ids for k in BY_ID[i].edit]
+        assert len(keys) == len(set(keys)) == len(edit), cls
+        assert set(keys) <= known, cls
 
 
 def test_edge_row_disk_column_ranges():
     # first-row disks never touch the outer two columns; last-row disks start
     # at column 3 except for the three classes whose repair starts them at 2
-    from griddom import pattern_class
     for m in range(16, 36):
         for n in range(16, 36):
             dims = GridDims(m, n)
@@ -231,9 +256,9 @@ def test_edge_row_disk_column_ranges():
             first = [c for r, c in p.tags["F"]]
             last = [c for r, c in p.tags["L"]]
             assert all(3 <= c <= n - 2 for c in first), (m, n)
-            lo = 2 if pattern_class(dims) in LAST_ROW_FROM_COL2 else 3
+            lo = class_edit(pattern_class(dims))[1].get("last_row_from", 3)
             assert all(lo <= c <= n - 2 for c in last), (m, n)
-            if pattern_class(dims) in LAST_ROW_FROM_COL2:
+            if lo == 2:
                 assert 2 in last, (m, n)
 
 

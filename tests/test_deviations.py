@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from griddom import DEVIATIONS, construct, load_ledger, GridDims
-from griddom.construction import (DEFICIT_CLASSES, LAST_ROW_FROM_COL2,
-                                  PHASE_OVERRIDES, TRANSPOSED_CLASSES)
-from griddom.deviations import (BY_ID, deviation_ids_for_class,
-                                expected_table_mismatches, ledger_as_json)
+from griddom import (DEVIATIONS, GridDims, construct, coverage_map,
+                     gamma_formula, load_ledger, pattern_class, verify_pattern)
+from griddom.construction import SIDES, PatternSet, _entry, build
+from griddom.deviations import (BY_ID, class_edit, expected_table_mismatches,
+                                ledger_as_json)
 
 
 def test_packaged_ledger_in_sync():
@@ -22,37 +22,38 @@ def test_ids_unique_and_resolvable():
     assert set(BY_ID) == set(ids)
 
 
-def test_every_code_correction_is_ledgered():
-    for cls in LAST_ROW_FROM_COL2 | set(PHASE_OVERRIDES) | {
-            (1, 1), (1, 4), (2, 3), (4, 4)}:
-        assert any(cls in e.classes and e.kind == "table-correction"
-                   for e in DEVIATIONS), cls
-    for cls in TRANSPOSED_CLASSES:
-        assert cls in BY_ID["DEV-ORIENT"].classes
-    for cls in DEFICIT_CLASSES:
-        assert any(cls in e.classes and e.kind == "deficit" for e in DEVIATIONS), cls
-
-
-def test_deviation_ids_for_class():
-    direct = deviation_ids_for_class((1, 1), transposed=False)
-    assert "DEV-FIX-11" in direct and "DEV-DM-RANGE" in direct
-    flipped = deviation_ids_for_class((1, 2), transposed=True)
-    assert "DEV-ORIENT" in flipped
-    assert "DEV-FIX-21" in flipped            # the mirror class's fix applies
-    deficit = deviation_ids_for_class((0, 0), transposed=False)
-    assert "DEV-DEFICIT-00" in deficit
+def test_deviation_ids_for_class(tmp_path, monkeypatch):
+    ids, edit = class_edit((1, 1))
+    assert ids == ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-FIX-11")
+    assert edit == {"last_row": (4, 1, -2, (3, -1))}
+    with pytest.raises(TypeError):
+        edit["offset"] = 4                # shared between calls: read-only
+    ids, edit = class_edit((1, 2))
+    assert "DEV-ORIENT" in ids and edit == {"transpose": True}
+    # the mirror class's fix applies to a transposed build
+    assert construct(GridDims(17, 16)).deviations == (
+        "DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-ORIENT", "DEV-FIX-21")
+    ids, edit = class_edit((0, 0))
+    assert ids[-1] == "DEV-FIX-00" and edit["remove"] == ((2, 0), (-1, 1))
+    # count-table errata are not construction records
+    assert "DEV-T2-MID-N1" not in class_edit((1, 0))[0]
+    # the override ledger steers count_cross_check only, never construct
+    path = tmp_path / "ledger.json"
+    path.write_text('{"schema_version": 1, "entries": []}')
+    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(path))
+    p = construct(GridDims(20, 20))
+    assert "DEV-FIX-00" in p.deviations and verify_pattern(p).ok
 
 
 def test_counterexamples_replay_against_baseline():
     """Each table-correction entry's counterexample must really occur when the
-    baseline tables are used."""
-    from griddom import coverage_map, gamma_formula
+    baseline tables are used, and construct() must mend it."""
     for entry in DEVIATIONS:
         ce = entry.counterexample
         if entry.kind != "table-correction" or not ce or "m" not in ce:
             continue
         dims = GridDims(ce["m"], ce["n"])
-        base = construct(dims, corrections=False)
+        base = PatternSet(dims, *build(dims, {}))
         if "baseline_cardinality" in ce:
             assert base.cardinality == ce["baseline_cardinality"], entry.id
         if "optimal" in ce:
@@ -61,16 +62,23 @@ def test_counterexamples_replay_against_baseline():
             rep = coverage_map(dims, set(base.black) | set(base.white))
             assert {tuple(v) for v in ce["undominated"]} == set(rep.undominated), entry.id
         if "out_of_range_column" in ce:
-            from griddom.construction import _sides_baseline
-            _, _, lr = _sides_baseline(dims.m, dims.n)
+            lr = _entry(SIDES[pattern_class(dims)][2], dims.n // 5, dims.n)
             assert ce["out_of_range_column"] in lr, entry.id
+        assert verify_pattern(construct(dims)).ok, entry.id
 
 
-def test_deficit_counterexamples_replay():
-    for dev_id in ("DEV-DEFICIT-00", "DEV-DEFICIT-02", "DEV-DEFICIT-20"):
+def test_corner_fix_counterexamples_replay():
+    # the baseline of these three classes is a dominating [1,2]-set that is
+    # too large; the ledger edit makes it optimal
+    for dev_id, excess in (("DEV-FIX-00", 2), ("DEV-FIX-02", 1), ("DEV-FIX-20", 1)):
         ce = BY_ID[dev_id].counterexample
-        p = construct(GridDims(ce["m"], ce["n"]))
-        assert p.cardinality == ce["constructed"] == ce["architecture_minimum"]
+        dims = GridDims(ce["m"], ce["n"])
+        v = verify_pattern(PatternSet(dims, *build(dims, {})))
+        assert v.check("one_two").passed and v.check("interior_unique").passed
+        assert v.cardinality == ce["baseline_cardinality"] == ce["optimal"] + excess
+        p = construct(dims)
+        assert dev_id in p.deviations
+        assert p.cardinality == ce["optimal"] and verify_pattern(p).ok
 
 
 def test_expected_mismatch_lookup_shapes():

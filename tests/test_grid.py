@@ -1,11 +1,38 @@
+"""Grid geometry: dimensions, residue classes, and the neighbourhoods, frame
+and sub-grid the verifier counts with (its coverage counts are the one place
+the program computes them)."""
+
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (GridDims, Vertex, boundary, closed_neighborhood,
-                     neighbors, residue_class, subgrid_vertices)
+from griddom import (GridDims, Vertex, coverage_map, interior_unique_coverage,
+                     residue_class)
 
 D16 = GridDims(16, 16)
+
+
+def _cells(dims):
+    return {Vertex(r, c) for r, c in product(range(1, dims.m + 1), range(1, dims.n + 1))}
+
+
+def _neighbors(v, dims):
+    """The vertices the verifier counts v as adjacent to."""
+    counts = coverage_map(dims, [v], cap=None).open_counts
+    return {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*counts.nonzero())}
+
+
+def _frame(dims):
+    return {v for v in _cells(dims) if v.row in (1, dims.m) or v.col in (1, dims.n)}
+
+
+def _subgrid(dims):
+    """Vertices interior_unique_coverage requires to be covered exactly once:
+    with no disks, each of them is reported."""
+    res = interior_unique_coverage(dims, [], cap=None)
+    return {v for v, _ in res.counterexamples}
 
 
 def test_dims_validation():
@@ -13,51 +40,52 @@ def test_dims_validation():
         GridDims(0, 5)
     with pytest.raises(ValueError):
         GridDims(5, -1)
-    d = GridDims(17, 23)
-    assert (d.row_blocks, d.col_blocks) == (3, 4)
-    assert d.transposed == GridDims(23, 17)
+    assert GridDims(17, 23).transposed == GridDims(23, 17)
 
 
 def test_neighbors_corner_edge_interior():
-    assert neighbors((1, 1), D16) == {(1, 2), (2, 1)}
-    assert neighbors((8, 8), D16) == {(7, 8), (9, 8), (8, 7), (8, 9)}
-    assert neighbors((1, 5), D16) == {(1, 4), (1, 6), (2, 5)}
+    assert _neighbors((1, 1), D16) == {(1, 2), (2, 1)}
+    assert _neighbors((8, 8), D16) == {(7, 8), (9, 8), (8, 7), (8, 9)}
+    assert _neighbors((1, 5), D16) == {(1, 4), (1, 6), (2, 5)}
 
 
 def test_neighbors_out_of_bounds():
     with pytest.raises(ValueError, match=r"\(0, 3\)"):
-        neighbors((0, 3), D16)
-    with pytest.raises(ValueError):
-        closed_neighborhood((17, 1), D16)
+        coverage_map(D16, [(0, 3)])
+    with pytest.raises(ValueError, match=r"\(17, 1\)"):
+        interior_unique_coverage(D16, [(17, 1)])
 
 
 def test_closed_neighborhood():
-    assert closed_neighborhood((1, 1), D16) == {(1, 1), (1, 2), (2, 1)}
-    assert len(closed_neighborhood((8, 8), D16)) == 5
-    assert closed_neighborhood((16, 8), D16) == {(16, 8), (16, 7), (16, 9), (15, 8)}
+    def covered(v):
+        report = coverage_map(D16, [v], cap=None)
+        return {u for u in _cells(D16) if report.count(u)}
+    assert covered((1, 1)) == {(1, 1), (1, 2), (2, 1)}
+    assert len(covered((8, 8))) == 5
+    assert covered((16, 8)) == {(16, 8), (16, 7), (16, 9), (15, 8)}
 
 
 def test_boundary_16x16_matches_degree_count():
-    b = boundary(D16)
-    assert len(b) == 2 * 16 + 2 * 16 - 4 == 60
-    # independent oracle: enumerate vertices of degree < 4
-    expected = {v for v in D16.vertices() if len(neighbors(v, D16)) < 4}
-    assert b == expected
+    counts = coverage_map(D16, _cells(D16)).open_counts     # every vertex's degree
+    low = {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*(counts < 4).nonzero())}
+    assert len(low) == 2 * 16 + 2 * 16 - 4 == 60
+    assert low == _frame(D16)
 
 
 def test_boundary_degenerate_grids():
-    assert boundary(GridDims(2, 2)) == set(GridDims(2, 2).vertices())
-    assert boundary(GridDims(1, 5)) == set(GridDims(1, 5).vertices())
+    for dims in (GridDims(2, 2), GridDims(1, 5)):
+        assert (coverage_map(dims, _cells(dims)).open_counts < 4).all()
+        assert _frame(dims) == _cells(dims)
 
 
 def test_subgrid_16x16():
-    s = subgrid_vertices(D16)
+    s = _subgrid(D16)
     assert len(s) == 14 * 14 - 4 == 192
     assert (2, 2) not in s
     assert (2, 3) in s
     # enumeration oracle
     expected = {
-        v for v in D16.vertices()
+        v for v in _cells(D16)
         if 2 <= v.row <= 15 and 2 <= v.col <= 15
         and v not in {(2, 2), (2, 15), (15, 2), (15, 15)}
     }
@@ -65,9 +93,9 @@ def test_subgrid_16x16():
 
 
 def test_subgrid_small_grids():
-    assert subgrid_vertices(GridDims(4, 4)) == set()
-    with pytest.raises(ValueError):
-        subgrid_vertices(GridDims(3, 5))
+    # 4x4: the interior is the four near-corner cells, so the sub-grid is empty
+    assert _subgrid(GridDims(4, 4)) == set()
+    assert _subgrid(GridDims(3, 5)) == {(2, 3)}
 
 
 def test_residue_class_examples():
@@ -86,20 +114,18 @@ dims_strategy = st.builds(GridDims, st.integers(2, 24), st.integers(2, 24))
 @settings(max_examples=60, deadline=None)
 def test_neighbor_symmetry_and_degree(dims, data):
     v = Vertex(data.draw(st.integers(1, dims.m)), data.draw(st.integers(1, dims.n)))
-    nb = neighbors(v, dims)
+    nb = _neighbors(v, dims)
     assert v not in nb
-    assert 1 <= len(nb) <= 4
-    if min(dims.m, dims.n) >= 2:
-        assert 2 <= len(nb)
-        assert (len(nb) == 4) == (v not in boundary(dims))
+    assert 2 <= len(nb) <= 4
+    assert (len(nb) == 4) == (v not in _frame(dims))
     for u in nb:
-        assert v in neighbors(u, dims)
+        assert v in _neighbors(u, dims)
 
 
 @given(st.builds(GridDims, st.integers(4, 24), st.integers(4, 24)))
 @settings(max_examples=40, deadline=None)
 def test_subgrid_disjoint_from_boundary(dims):
-    assert not subgrid_vertices(dims) & boundary(dims)
+    assert not _subgrid(dims) & _frame(dims)
 
 
 @given(st.integers(0, 4), st.integers(-3, 8), st.integers(-3, 8))

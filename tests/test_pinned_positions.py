@@ -4,7 +4,9 @@ Each digest is the SHA-256 of the compact JSON of (black, white, transposed)
 as row-major [row, col] lists. They pin one grid per residue class with sides
 16-40 plus the six large benchmark grids, so a change to the pattern's
 storage or builder that moves any member fails here. A change that moves
-members on purpose must say so and re-pin.
+members on purpose must say so and re-pin. The grids of classes (0,0),
+(0,2) and (2,0) (20x20, 22x30, 30x22, 1500x600) are pinned as built with
+the ledger records DEV-FIX-00/-02/-20.
 """
 
 import hashlib
@@ -15,9 +17,9 @@ import pytest
 from griddom import GridDims, construct, render_ascii, render_svg
 
 MEMBER_DIGESTS = {
-    (20, 20): "c494f9eec2d2604e8990eead38981dc08bd7bec1246de96656f3e0f4035ad51b",
+    (20, 20): "dd7fbbeb86a8526a83aaccd8f2338c4da4dc98428df6a85bfb1e14106e7821df",
     (25, 21): "e922ca9604456897e2f007d3702953ed175baa4d747fd1e1b6880cd9b0e8cc57",
-    (30, 22): "f59bc689a4e9fd8c0e7a2cc4d12bc00c8f969adc09a81a203eef078cb0e15c79",
+    (30, 22): "a8e84c71c076c64751081693897c50b784df73e8104c0027f830a0da06a722d7",
     (35, 23): "dd241823d5195e15cf304177cfedae1e8a579bd2b9cc575e047f1ada96b64516",
     (20, 24): "06e821f28be05242121dee058ee13d78eceffb71596d9d906c80e3dd05ed35b8",
     (21, 25): "1dde373f8e22535cb15622fe160611a15b4fcc9dbf70db809cecb2413ff1cf23",
@@ -25,7 +27,7 @@ MEMBER_DIGESTS = {
     (31, 27): "7fa4b8cd9fcb917d465836856b7412d4fe844bf604866ff55eb22bd54a1e673a",
     (36, 28): "111f32bb01102f97f712c884a0411187aaf20556b5b01a24b10934f03dd53852",
     (21, 29): "32212e65ca3c5d75a134e28cc046dde597d316ed0f81f220d3ab116a166beb97",
-    (22, 30): "1d5aa31034fbb804a1df12a2c91311295ee143fd291b8787c5dcc55f43911462",
+    (22, 30): "af5393377081905bff43ffb3a6c235ae616b1491bf0f2c70e6081aae9aa87de8",
     (27, 31): "c731fcffb1edb352925c6a98ca9d0c3b7bf01867fc71a5c5032aac5513f4f4f2",
     (32, 32): "6ad4e2c23eac0f3901cd27b36344955f460beedd814fa6a268bf7f79d8da6a3a",
     (37, 33): "8dd7543372b65b1ba37c6e509170dd1594ab7fbd1fbef7cd677eb7073de141d7",
@@ -44,7 +46,7 @@ MEMBER_DIGESTS = {
     (601, 605): "1c0eac792e885a5c44600e6d737bd145b912dd4c1c58c713e23727f760f12b72",
     (601, 607): "f37f0d27a6b85bb8f75c13a51bd9270faf3bedccfbe682a9c0f1ea95207c5e8e",
     (603, 603): "8c671122a715a13b5509a80075e425659a2f9a3f7a595cae730adf28ee456f2e",
-    (1500, 600): "7aa799978a6e786f53fec90f04cbc9203e63115cae0bf811ffe9b5ae429da8ae",
+    (1500, 600): "025e95b54f36241412f47ff4a49dcd81bd65721857c559bbb3f6b48141151752",
     (20, 20001): "37099f84f1b814411b518bc5fec1328d7f53239d07d06c5d68856acb8c45d080",
 }
 

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the pattern document and the verifier."""
+"""Hypothesis properties of the pattern document, the verifier and the
+CLI's exit codes."""
 
 import json
 from itertools import chain
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from griddom import (GridDims, construct, document_to_pattern, dumps_document,
                      gamma_formula, pattern_to_document, verify_pattern)
+from griddom.cli import main
 from griddom.construction import PatternSet
 from griddom.render import DocumentError
 
@@ -111,3 +113,41 @@ def test_parser_raises_only_document_error(slot, value):
     assert (q.dims.m, q.dims.n) == (doc["m"], doc["n"])
     assert q.black_rc.tolist() == sorted(doc["black"])
     assert q.white_rc.tolist() == sorted(doc["white"])
+
+
+# Sides stay small, so no drawn argument vector can ask for a large build.
+_side = st.integers(-3, 45).map(str)
+_range = st.builds("{}:{}".format, st.integers(12, 30), st.integers(12, 30))
+_junk = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "-", ":", "16:", "json",
+                         "svg", "--rulers", "--m", "--n", "--input"])
+_flag = st.sampled_from(["--m", "--n", "--m-range", "--n-range", "--format", "--input"])
+_argv = st.lists(st.one_of(st.tuples(_flag, st.one_of(_side, _range, _junk)),
+                           st.tuples(_junk)), max_size=5).map(
+    lambda parts: [token for part in parts for token in part])
+
+
+@given(st.sampled_from(["construct", "verify", "gamma", "sweep"]), _argv)
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_codes_fuzz(tmp_path_factory, command, argv):
+    """Any argument vector exits 0 or 2 and never raises: the build passes
+    every check, so verification never fails (exit 1)."""
+    if command == "sweep":
+        argv = argv + ["--out", str(tmp_path_factory.getbasetemp() / "fuzz.csv")]
+    assert main([command] + argv) in (0, 2)
+
+
+@given(st.sampled_from(["construct", "verify", "gamma"]),
+       st.integers(-3, 45), st.integers(-3, 45))
+@settings(max_examples=60, deadline=None)
+def test_cli_exit_code_follows_the_dims(command, m, n):
+    expected = 0 if min(m, n) >= 16 else 2
+    assert main([command, "--m", str(m), "--n", str(n)]) == expected
+
+
+@given(st.integers(12, 30), st.integers(12, 30), st.integers(12, 30), st.integers(12, 30))
+@settings(max_examples=40, deadline=None)
+def test_cli_sweep_exit_code_follows_the_ranges(tmp_path_factory, a, b, c, d):
+    out = tmp_path_factory.getbasetemp() / "sweep.csv"
+    expected = 0 if a <= b and c <= d and min(a, c) >= 16 else 2
+    assert main(["sweep", "--m-range", f"{a}:{b}", "--n-range", f"{c}:{d}",
+                 "--out", str(out)]) == expected

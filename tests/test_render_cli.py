@@ -5,7 +5,9 @@ import pytest
 
 from griddom import (GridDims, construct, count_cross_check, document_to_pattern,
                      dumps_document, pattern_to_document, render_ascii, render_svg)
+from griddom import cli
 from griddom.cli import main
+from griddom.construction import PatternSet
 from griddom.render import DocumentError
 
 
@@ -182,18 +184,25 @@ def test_cli_sweep_all_green(tmp_path, capsys):
     assert all(row.split(",")[4] == "True" for row in lines[1:])
 
 
-def test_cli_sweep_reports_deficit_rows(tmp_path):
-    # (20, 20) cannot reach the optimal size (ledger DEV-DEFICIT-00), so a
-    # sweep that includes it must exit 1 while still writing every row
+def test_cli_sweep_reports_deficit_rows(tmp_path, monkeypatch):
+    # every class builds at the optimal size, so this sweep passes; with a
+    # disk dropped from every build it must exit 1 and still write every row
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--m-range", "19:20", "--n-range", "19:20",
-                 "--out", str(out)]) == 1
+    argv = ["sweep", "--m-range", "19:20", "--n-range", "19:20", "--out", str(out)]
+    assert main(argv) == 0
+
+    def short(dims):
+        p = construct(dims)
+        return PatternSet(dims, p.black_rc[1:], p.white_rc, p.deviations, p.transposed)
+
+    monkeypatch.setattr(cli, "construct", short)
+    assert main(argv) == 1
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 1 + 4
     row = dict(zip(lines[0].split(","), lines[-1].split(",")))
     assert (row["m"], row["n"]) == ("20", "20")
-    assert int(row["cardinality"]) == int(row["formula"]) + 2
-    assert row["dominating"] == "True"
+    assert int(row["cardinality"]) == int(row["formula"]) - 1
+    assert row["dominating"] == "False"
 
 
 def test_cli_sweep_range_guard(tmp_path):

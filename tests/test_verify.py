@@ -1,11 +1,12 @@
 from importlib.resources import files
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (GridDims, Vertex, black_disks, construct,
+from griddom import (GridDims, Vertex, construct,
                      corner_multiplicity_check, count_cross_check,
                      coverage_map, gamma_formula, interior_unique_coverage,
                      verify_pattern)
@@ -14,7 +15,7 @@ from griddom.construction import PatternSet
 
 def test_coverage_map_full_and_empty():
     d = GridDims(3, 3)
-    full = coverage_map(d, set(d.vertices()))
+    full = coverage_map(d, set(product(range(1, 4), range(1, 4))))
     assert full.is_dominating and full.undominated_total == 0
     empty = coverage_map(d, set())
     assert not empty.is_dominating
@@ -70,7 +71,8 @@ def test_verify_detects_deleted_member():
 def test_verify_detects_added_member():
     d = GridDims(21, 20)
     p = construct(d)
-    extra = next(v for v in d.vertices() if v not in p.members)
+    extra = next(v for v in product(range(1, d.m + 1), range(1, d.n + 1))
+                 if v not in p.members)
     grown = PatternSet(dims=d, black_rc=p.black, white_rc=p.white + (extra,))
     v = verify_pattern(grown)
     assert not v.check("cardinality").passed
@@ -86,7 +88,7 @@ def test_verify_is_provenance_oblivious():
 
 def test_interior_unique_coverage():
     d = GridDims(16, 16)
-    assert interior_unique_coverage(d, black_disks(d)).passed
+    assert interior_unique_coverage(d, construct(d).black).passed
     bad = interior_unique_coverage(d, {(8, 8), (8, 9)}, cap=None)
     assert not bad.passed
     over = {v: c for v, c in bad.counterexamples}
