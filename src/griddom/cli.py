@@ -21,6 +21,10 @@ from .render import (DocumentError, document_to_pattern, dumps_document,
 from .verify import corner_multiplicity_check, count_cross_check, verify_pattern
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# Largest m*n that verify and construct --format ascii/svg accept. Their
+# memory grows with the cells (about 6 bytes each for the verifier, 15 for
+# the SVG), so a larger grid is refused before anything is allocated.
+MAX_CELLS = 25_000_000
 
 
 class _UsageError(Exception):
@@ -33,8 +37,18 @@ def _dims(m: int, n: int) -> GridDims:
     return GridDims(m, n)
 
 
+def _within_budget(dims: GridDims) -> GridDims:
+    cells = dims.m * dims.n
+    if cells > MAX_CELLS:
+        raise _UsageError(f"a {dims.m}x{dims.n} grid has {cells} cells; this "
+                          f"command handles at most {MAX_CELLS}")
+    return dims
+
+
 def cmd_construct(args) -> int:
     dims = _dims(args.m, args.n)
+    if args.format != "json":
+        _within_budget(dims)
     p = construct(dims)
     if args.format == "json":
         sys.stdout.write(dumps_document(pattern_to_document(p)))
@@ -95,10 +109,11 @@ def cmd_verify(args) -> int:
             p = document_to_pattern(doc)
         except DocumentError as exc:
             raise _UsageError(str(exc))
+        _within_budget(p.dims)
     else:
         if args.m is None or args.n is None:
             raise _UsageError("verify needs --input or both --m and --n")
-        p = construct(_dims(args.m, args.n))
+        p = construct(_within_budget(_dims(args.m, args.n)))
     payload = _verdict_payload(p)
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK if payload["ok"] else EXIT_FAIL

@@ -3,7 +3,6 @@
 import json
 from dataclasses import dataclass
 from itertools import chain
-from operator import add
 
 import numpy as np
 
@@ -38,45 +37,64 @@ def render_ascii(p: PatternSet, rulers: bool = False) -> RenderedGrid:
     return RenderedGrid(lines=tuple(lines), legend=dict(LEGEND))
 
 
-def _centres(count: int, cell: int, shift: float = 0.0) -> list[str]:
-    """Formatted pixel coordinate (i - 0.5) * cell - shift for i in 0..count."""
-    return [f"{(i - 0.5) * cell - shift:g}" for i in range(count + 1)]
+def _decimal(hundredths: int) -> str:
+    """Exact text of hundredths / 100 (>= 0), without trailing zeros."""
+    whole, frac = divmod(hundredths, 100)
+    return f"{whole}.{frac:02d}".rstrip("0") if frac else str(whole)
+
+
+def _centres(count: int, cell: int, shift: int = 0) -> list[str]:
+    """Exact text of the pixel coordinate (i - 0.5) * cell - shift / 100 for
+    i in 1..count, with shift in hundredths of a pixel. Centres are a whole
+    cell apart, so all of them have the first one's fractional digits."""
+    whole, dot, frac = _decimal(50 * cell - shift).partition(".")
+    first = int(whole)
+    return [f"{first + cell * k}{dot}{frac}" for k in range(count)]
+
+
+def _svg_pieces(p: PatternSet, cell: int) -> list[str]:
+    """The SVG text as a list of pieces, each line ending in its newline.
+    A member's line is two shared pieces, its column's head and its row's
+    tail, each formatted once per shape, so no per-member string is built."""
+    m, n = p.dims.m, p.dims.n
+    wpx, hpx = n * cell, m * cell
+    frame = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{wpx}" height="{hpx}" viewBox="0 0 {wpx} {hpx}">\n',
+        f'<rect width="{wpx}" height="{hpx}" fill="white"/>\n',
+    ]
+    frame += [f'<line x1="0" y1="{i * cell}" x2="{wpx}" y2="{i * cell}" '
+              'stroke="#ccc" stroke-width="1"/>\n' for i in range(m + 1)]
+    frame += [f'<line x1="{j * cell}" y1="0" x2="{j * cell}" y2="{hpx}" '
+              'stroke="#ccc" stroke-width="1"/>\n' for j in range(n + 1)]
+    # radius 0.32 and square side 0.56 of a cell, in hundredths of a pixel
+    rad, side = 32 * cell, 56 * cell
+    shapes = (
+        (p.black_rc, 0, '<circle cx="{}" cy="',
+         f'{{}}" r="{_decimal(rad)}" fill="black"/>\n'),
+        (p.white_rc, side // 2, '<rect x="{}" y="',
+         f'{{}}" width="{_decimal(side)}" height="{_decimal(side)}" '
+         'fill="white" stroke="black" stroke-width="1.5"/>\n'),
+    )
+    seq = np.empty(len(frame) + 2 * p.cardinality + 1, dtype=object)
+    seq[:len(frame)] = frame
+    at = len(frame)
+    for rc, shift, head, tail in shapes:
+        heads = np.array([head.format(x) for x in _centres(n, cell, shift)], dtype=object)
+        tails = np.array([tail.format(y) for y in _centres(m, cell, shift)], dtype=object)
+        end = at + 2 * len(rc)
+        seq[at:end:2] = heads[rc[:, 1] - 1]
+        seq[at + 1:end:2] = tails[rc[:, 0] - 1]
+        at = end
+    seq[at] = "</svg>\n"
+    return seq.tolist()
 
 
 def render_svg(p: PatternSet, cell: int = 16) -> str:
     """Static SVG 1.1: black circles for disks, outlined squares for whites."""
-    m, n = p.dims.m, p.dims.n
-    wpx, hpx = n * cell, m * cell
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{wpx}" height="{hpx}" viewBox="0 0 {wpx} {hpx}">',
-        f'<rect width="{wpx}" height="{hpx}" fill="white"/>',
-    ]
-    for i in range(m + 1):
-        y = i * cell
-        out.append(f'<line x1="0" y1="{y}" x2="{wpx}" y2="{y}" '
-                   'stroke="#ccc" stroke-width="1"/>')
-    for j in range(n + 1):
-        x = j * cell
-        out.append(f'<line x1="{x}" y1="0" x2="{x}" y2="{hpx}" '
-                   'stroke="#ccc" stroke-width="1"/>')
-    rad = cell * 0.32
-    side = cell * 0.56
-    # each element is a per-column head plus a per-row tail, both formatted
-    # once, joined member by member with C-level map over the plain columns
-    shapes = (
-        (p.black_rc, 0.0, '<circle cx="{}" cy="', f'{{}}" r="{rad:g}" fill="black"/>'),
-        (p.white_rc, side / 2, '<rect x="{}" y="',
-         f'{{}}" width="{side:g}" height="{side:g}" '
-         'fill="white" stroke="black" stroke-width="1.5"/>'),
-    )
-    for rc, shift, head, tail in shapes:
-        heads = [head.format(x) for x in _centres(n, cell, shift)]
-        tails = [tail.format(y) for y in _centres(m, cell, shift)]
-        out.extend(map(add, map(heads.__getitem__, rc[:, 1].tolist()),
-                       map(tails.__getitem__, rc[:, 0].tolist())))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    # the object array behind the pieces is freed before the join, so the
+    # transient is one list of references next to the output text
+    return "".join(_svg_pieces(p, cell))
 
 
 def pattern_to_document(p: PatternSet) -> dict:
@@ -132,7 +150,8 @@ def document_to_pattern(doc: dict) -> PatternSet:
     """Parse an interchange document back into a PatternSet.
 
     m, n and every coordinate must be exact JSON integers (no floats, no
-    booleans) and every coordinate entry a [row, col] pair; duplicates,
+    booleans), every coordinate entry a [row, col] pair and "deviations", if
+    present, a list of strings; duplicates,
     black/white overlap and out-of-bounds members are rejected. Provenance
     tags are views of the positions; coordinates, dims, applied deviation ids
     and the build orientation survive the round trip. A missing "transposed"
@@ -142,15 +161,17 @@ def document_to_pattern(doc: dict) -> PatternSet:
         version = doc["schema_version"]
         m, n = _exact_int(doc, "m"), _exact_int(doc, "n")
         black, white = _pairs(doc, "black"), _pairs(doc, "white")
-        deviations = tuple(str(d) for d in doc.get("deviations", []))
+        deviations = doc.get("deviations", [])
         transposed = doc.get("transposed", False)
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed pattern document: {exc}") from exc
     if type(version) is not int or version != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {version!r}")
+    if type(deviations) is not list or not set(map(type, deviations)) <= {str}:
+        raise DocumentError(f"deviations must be a list of id strings, got {deviations!r}")
     if not isinstance(transposed, bool):
         raise DocumentError(f"transposed must be true or false, got {transposed!r}")
     try:
-        return PatternSet(GridDims(m, n), black, white, deviations, transposed)
+        return PatternSet(GridDims(m, n), black, white, tuple(deviations), transposed)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

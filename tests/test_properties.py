@@ -87,7 +87,7 @@ json_values = st.recursive(
 )
 BASE = pattern_to_document(construct(GridDims(16, 17)))
 SLOTS = [("m",), ("n",), ("black",), ("white",), ("black", 0), ("white", 0),
-         ("black", 0, 1)]
+         ("black", 0, 1), ("deviations",), ("deviations", 0)]
 
 
 # values a lax parser would coerce into a valid-looking document
@@ -107,9 +107,13 @@ def test_parser_raises_only_document_error(slot, value):
         q = document_to_pattern(doc)
     except DocumentError:
         return
-    # a document is accepted only when every value read is an exact int
+    # a document is accepted only when every value read is an exact int and
+    # every deviation id a string
     values = [doc["m"], doc["n"], *chain.from_iterable(doc["black"] + doc["white"])]
     assert all(type(v) is int for v in values)
+    assert type(doc["deviations"]) is list
+    assert all(type(d) is str for d in doc["deviations"])
+    assert q.deviations == tuple(doc["deviations"])
     assert (q.dims.m, q.dims.n) == (doc["m"], doc["n"])
     assert q.black_rc.tolist() == sorted(doc["black"])
     assert q.white_rc.tolist() == sorted(doc["white"])

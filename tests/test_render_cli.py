@@ -1,5 +1,8 @@
 import json
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +11,7 @@ from griddom import (GridDims, construct, count_cross_check, document_to_pattern
 from griddom import cli
 from griddom.cli import main
 from griddom.construction import PatternSet
-from griddom.render import DocumentError
+from griddom.render import DocumentError, _centres
 
 
 def test_ascii_render_16x16():
@@ -39,6 +42,54 @@ def test_svg_well_formed():
     rects = [e for e in root.iter() if e.tag.endswith("rect")]
     assert len(circles) == len(p.black)
     assert len(rects) == len(p.white) + 1      # background rect
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+@pytest.mark.parametrize("mn", [(16, 16), (21, 25), (16, 700), (700, 16)])
+def test_svg_geometry_maps_back_to_the_members(mn):
+    """Read as exact decimals, every circle centre is the pixel centre of
+    exactly one black member and every square corner sits 4.48 px up and
+    left of exactly one white member's centre (cell 16). Sides of 700 put
+    whites past column and row 625, whose corners need 7 digits."""
+    p = construct(GridDims(*mn))
+    root = ET.fromstring(render_svg(p))
+
+    def cell_of(x, y, shift):
+        row, col = ((Fraction(v) + shift) / 16 + Fraction(1, 2) for v in (y, x))
+        assert row.denominator == col.denominator == 1, (x, y)
+        return int(row), int(col)
+
+    circles = [cell_of(e.get("cx"), e.get("cy"), 0) for e in root.iter(SVG + "circle")]
+    squares = [cell_of(e.get("x"), e.get("y"), Fraction("4.48"))
+               for e in root.iter(SVG + "rect") if "x" in e.attrib]
+    assert sorted(circles) == [tuple(v) for v in p.black_rc.tolist()]
+    assert sorted(squares) == [tuple(v) for v in p.white_rc.tolist()]
+    assert {Fraction(e.get("r")) for e in root.iter(SVG + "circle")} == {Fraction("5.12")}
+    assert {Fraction(e.get(k)) for e in root.iter(SVG + "rect") if "x" in e.attrib
+            for k in ("width", "height")} == {Fraction("8.96")}
+
+
+def test_svg_peak_memory_tracks_its_text():
+    """The SVG is joined from shared per-column and per-row pieces, so its
+    transient is a list of references next to the text, not a string per
+    member (that took about 4x the text)."""
+    p = construct(GridDims(1500, 600))
+    tracemalloc.start()
+    try:
+        svg = render_svg(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(svg)
+
+
+def test_svg_coordinates_are_exact_past_a_million_pixels():
+    """Index 62501 is the first centre at or above 10**6 px (cell 16)."""
+    for shift, text in ((0, "1000008"), (448, "1000003.52")):
+        assert _centres(62501, 16, shift)[-1] == text
+        assert Fraction(text) == (62501 - Fraction(1, 2)) * 16 - Fraction(shift, 100)
 
 
 def test_document_round_trip():
@@ -310,7 +361,11 @@ def test_document_sorts_unsorted_lists():
     lambda d: d.__setitem__("m", True),
     lambda d: d["white"].__setitem__(0, [1, 2, 3]),
     lambda d: d["white"].append(d["black"][0]),
-], ids=["duplicate", "float-coordinate", "float-m", "bool-m", "triple", "overlap"])
+    lambda d: d.__setitem__("deviations", "DEV-X"),
+    lambda d: d.__setitem__("deviations", [1, 2.5, None]),
+    lambda d: d.__setitem__("deviations", {"DEV-X": 1}),
+], ids=["duplicate", "float-coordinate", "float-m", "bool-m", "triple", "overlap",
+        "deviations-string", "deviations-numbers", "deviations-object"])
 def test_cli_verify_input_rejects_invalid_document(tmp_path, capsys, mutate):
     doc = _doc16()
     mutate(doc)
@@ -318,6 +373,28 @@ def test_cli_verify_input_rejects_invalid_document(tmp_path, capsys, mutate):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_refuses_grids_over_the_cell_budget(tmp_path, capsys, monkeypatch):
+    side = 10**6
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema_version": 1, "m": side, "n": side,
+                                "black": [[1, 1]], "white": []}))
+    t0 = time.perf_counter()
+    assert main(["verify", "--input", str(path)]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "at most" in capsys.readouterr().err
+    for argv in (["verify"], ["construct", "--format", "ascii"],
+                 ["construct", "--format", "svg"]):
+        assert main(argv + ["--m", str(side), "--n", str(side)]) == 2
+    # the budget is inclusive, and json output, which grows with the
+    # members only, is not held to it
+    monkeypatch.setattr(cli, "MAX_CELLS", 20 * 20)
+    capsys.readouterr()
+    assert main(["verify", "--m", "20", "--n", "20"]) == 0
+    assert main(["verify", "--m", "20", "--n", "21"]) == 2
+    assert main(["construct", "--m", "20", "--n", "21", "--format", "svg"]) == 2
+    assert main(["construct", "--m", "20", "--n", "21", "--format", "json"]) == 0
 
 
 def test_dumps_document_is_compact():
