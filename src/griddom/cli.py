@@ -16,8 +16,8 @@ from dataclasses import asdict
 from .construction import MIN_SIDE, construct, gamma_formula
 from .grid import GridDims
 from .oracle import CapacityError, exact_gamma_bruteforce, exact_gamma_dp
-from .render import (DocumentError, document_to_pattern, dumps_document,
-                     pattern_to_document, render_ascii, render_svg)
+from .render import (DocumentError, document_dims, document_to_pattern,
+                     dumps_pattern, render_ascii, render_svg)
 from .verify import corner_multiplicity_check, count_cross_check, verify_pattern
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -51,7 +51,7 @@ def cmd_construct(args) -> int:
         _within_budget(dims)
     p = construct(dims)
     if args.format == "json":
-        sys.stdout.write(dumps_document(pattern_to_document(p)))
+        sys.stdout.write(dumps_pattern(p))
     elif args.format == "svg":
         sys.stdout.write(render_svg(p))
     else:
@@ -106,10 +106,10 @@ def cmd_verify(args) -> int:
                 f"parse error in {args.input} at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}")
         try:
+            _within_budget(document_dims(doc))
             p = document_to_pattern(doc)
         except DocumentError as exc:
             raise _UsageError(str(exc))
-        _within_budget(p.dims)
     else:
         if args.m is None or args.n is None:
             raise _UsageError("verify needs --input or both --m and --n")
@@ -232,6 +232,8 @@ def cmd_bench(args) -> int:
         raise _UsageError("empty sizes list")
     if min(sizes) < MIN_SIDE:
         raise _UsageError(f"bench sizes must be >= {MIN_SIDE}")
+    if args.repeats < 1:
+        raise _UsageError(f"--repeats must be >= 1; got {args.repeats}")
     header = ["side", "members", "time_ns", "ns_per_member"]
     if args.alloc:
         header += ["peak_bytes", "bytes_per_member"]

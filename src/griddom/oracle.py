@@ -43,6 +43,10 @@ from .grid import GridDims, Vertex
 
 BRUTE_FORCE_CELL_CAP = 20
 DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
+# ceiling on any width_cap, the width of the optional 16x16 run: the
+# reachable-state search allocates one dense mask per frontier code, 4 bytes
+# from width 17 on (about 520 MB at width 17, 14 GB at width 20)
+MAX_WIDTH = 16
 DEFAULT_BACKPOINTER_BUDGET = 256 * 2**20   # bytes
 # widths <= 13 of both variants take about 26 MB; one width-16 set (about
 # 218 MB) is never kept
@@ -358,6 +362,10 @@ def exact_gamma_dp(
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
     base = _RULES[variant][0]
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
+    if width > MAX_WIDTH:
+        raise CapacityError(
+            f"frontier width {width} exceeds MAX_WIDTH {MAX_WIDTH}, the ceiling "
+            f"on any width cap: {base}**{width} = {base**width} frontier codes")
     if width > cap:
         raise CapacityError(
             f"frontier width {width} exceeds cap {cap}: {base}**{width} = "

@@ -6,10 +6,12 @@ from itertools import chain
 
 import numpy as np
 
-from .construction import PatternSet, gamma_formula, MIN_SIDE
+from .construction import MAX_SIDE, MIN_SIDE, PatternSet, gamma_formula
 from .grid import GridDims
 
-SCHEMA_VERSION = 1
+# column step of a schema-2 run: the period of the disk lattice
+RUN_STEP = 5
+COLOURS = ("black", "white")
 LEGEND = {"empty": ".", "black": "B", "white": "W"}
 
 
@@ -97,24 +99,44 @@ def render_svg(p: PatternSet, cell: int = 16) -> str:
     return "".join(_svg_pieces(p, cell))
 
 
-def pattern_to_document(p: PatternSet) -> dict:
-    """The interchange form: plain ints, row-major sorted coordinate lists."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+def _document(p: PatternSet, version: int, lists) -> dict:
+    """A document of p whose black and white entries are lists(rc)."""
+    return {
+        "schema_version": version,
         "m": p.dims.m,
         "n": p.dims.n,
-        "black": p.black_rc.tolist(),
-        "white": p.white_rc.tolist(),
+        "black": lists(p.black_rc),
+        "white": lists(p.white_rc),
         "gamma": gamma_formula(p.dims) if min(p.dims.m, p.dims.n) >= MIN_SIDE else None,
         "deviations": list(p.deviations),
         "transposed": p.transposed,
     }
-    return doc
+
+
+def pattern_to_document(p: PatternSet) -> dict:
+    """The per-member editing form: a schema-1 document of plain ints with
+    row-major sorted [row, col] lists. dumps_document writes it as schema 2."""
+    return _document(p, 1, np.ndarray.tolist)
+
+
+def _runs(rc: np.ndarray) -> list[list[int]]:
+    """Row-major members as [row, first col, count] runs, each a maximal
+    stretch of one row whose columns step by RUN_STEP."""
+    starts = np.ones(len(rc), dtype=bool)
+    starts[1:] = (rc[1:, 0] != rc[:-1, 0]) | (rc[1:, 1] - rc[:-1, 1] != RUN_STEP)
+    first = np.flatnonzero(starts)
+    return np.column_stack((rc[first], np.diff(first, append=len(rc)))).tolist()
+
+
+def dumps_pattern(p: PatternSet) -> str:
+    """Compact, key-sorted schema-2 JSON text with a trailing newline."""
+    return json.dumps(_document(p, 2, _runs), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def dumps_document(doc: dict) -> str:
-    """Compact, key-sorted JSON text with a trailing newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """The schema-2 text of a document of either schema. The document is
+    parsed strictly first, so an invalid one raises DocumentError."""
+    return dumps_pattern(document_to_pattern(doc))
 
 
 class DocumentError(ValueError):
@@ -128,50 +150,96 @@ def _exact_int(doc: dict, key: str) -> int:
     return value
 
 
-def _pairs(doc: dict, key: str) -> np.ndarray:
-    """A coordinate list as an int64 (k, 2) array; every entry must be a
-    [row, col] list of two exact integers."""
-    pairs = doc[key]
-    if type(pairs) is not list or not set(map(type, pairs)) <= {list}:
-        raise DocumentError(f"{key} must be a list of [row, col] pairs")
-    if not set(map(len, pairs)) <= {2}:
-        raise DocumentError(f"every {key} pair must have exactly 2 entries")
-    flat = list(chain.from_iterable(pairs))
+def _int_lists(doc: dict, key: str, what: str, width: int) -> np.ndarray:
+    """A list of `what` lists of `width` exact integers each, as an int64
+    (k, width) array."""
+    items = doc.get(key)
+    if type(items) is not list or not set(map(type, items)) <= {list}:
+        raise DocumentError(f"{key} must be a list of {what}s")
+    if not set(map(len, items)) <= {width}:
+        raise DocumentError(f"every {key} {what} must have exactly {width} entries")
+    flat = list(chain.from_iterable(items))
     if not set(map(type, flat)) <= {int}:
         bad = next(v for v in flat if type(v) is not int)
         raise DocumentError(f"{key} coordinates must be integers, got {bad!r}")
     try:
-        return np.array(flat, dtype=np.int64).reshape(-1, 2)
+        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, width)
     except OverflowError:
         raise DocumentError(f"{key} has a coordinate outside the 64-bit range") from None
 
 
-def document_to_pattern(doc: dict) -> PatternSet:
-    """Parse an interchange document back into a PatternSet.
+def _run_members(doc: dict, dims: GridDims) -> list[np.ndarray]:
+    """The black and white members of a schema-2 document as int32 (k, 2)
+    arrays. Every run is checked against the grid, and the member total
+    against m*n, before any run is expanded."""
+    runs = [_int_lists(doc, key, "[row, first_col, count] run", 3) for key in COLOURS]
+    for key, rfc in zip(COLOURS, runs):
+        row, first, count = rfc.T
+        # a clause that wraps round in int64 sits beside one that is false
+        inside = ((count >= 1) & (row >= 1) & (row <= dims.m) & (first >= 1)
+                  & (count - 1 <= (dims.n - first) // RUN_STEP))
+        if not inside.all():
+            raise DocumentError(f"{key} run {rfc[inside.argmin()].tolist()} does "
+                                f"not lie on the {dims.m}x{dims.n} grid")
+    total = sum(int(rfc[:, 2].sum()) for rfc in runs)
+    if total > dims.m * dims.n:
+        raise DocumentError(f"the runs hold {total} members, more than the "
+                            f"{dims.m * dims.n} cells of a {dims.m}x{dims.n} grid")
+    members = []
+    for row, first, count in (rfc.T for rfc in runs):
+        within = np.arange(count.sum(), dtype=np.int64)
+        within -= np.repeat(np.cumsum(count) - count, count)
+        rc = np.empty((len(within), 2), dtype=np.int32)
+        rc[:, 0] = np.repeat(row, count)
+        rc[:, 1] = np.repeat(first, count) + RUN_STEP * within
+        members.append(rc)
+    return members
 
-    m, n and every coordinate must be exact JSON integers (no floats, no
-    booleans), every coordinate entry a [row, col] pair and "deviations", if
-    present, a list of strings; duplicates,
-    black/white overlap and out-of-bounds members are rejected. Provenance
-    tags are views of the positions; coordinates, dims, applied deviation ids
-    and the build orientation survive the round trip. A missing "transposed"
-    key reads as False; a present one must be a JSON boolean.
-    """
+
+def document_dims(doc: dict) -> GridDims:
+    """The grid a document claims, read as strictly as document_to_pattern
+    reads it and before any member is read."""
     try:
-        version = doc["schema_version"]
         m, n = _exact_int(doc, "m"), _exact_int(doc, "n")
-        black, white = _pairs(doc, "black"), _pairs(doc, "white")
-        deviations = doc.get("deviations", [])
-        transposed = doc.get("transposed", False)
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed pattern document: {exc}") from exc
-    if type(version) is not int or version != SCHEMA_VERSION:
+    if max(m, n) > MAX_SIDE:
+        raise DocumentError(f"grid sides above {MAX_SIDE} are not supported; got {m}x{n}")
+    try:
+        return GridDims(m, n)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+
+
+def document_to_pattern(doc: dict) -> PatternSet:
+    """Parse a schema-1 or schema-2 document back into a PatternSet.
+
+    Schema 1 lists each member as a [row, col] pair, schema 2 as part of a
+    [row, first_col, count] run of columns first_col, first_col + 5, ...
+    m, n and every list entry must be exact JSON integers (no floats, no
+    booleans) and "deviations", if present, a list of strings. Every run
+    must lie on the grid and all runs together may hold at most m*n
+    members; both are checked before any run is expanded. Duplicates,
+    black/white overlap and out-of-bounds members are rejected. Provenance
+    tags are views of the positions; coordinates, dims, applied deviation
+    ids and the build orientation survive the round trip. A missing
+    "transposed" key reads as False; a present one must be a JSON boolean.
+    """
+    dims = document_dims(doc)
+    version = doc.get("schema_version")
+    if type(version) is not int or version not in (1, 2):
         raise DocumentError(f"unsupported schema_version {version!r}")
+    deviations = doc.get("deviations", [])
     if type(deviations) is not list or not set(map(type, deviations)) <= {str}:
         raise DocumentError(f"deviations must be a list of id strings, got {deviations!r}")
+    transposed = doc.get("transposed", False)
     if not isinstance(transposed, bool):
         raise DocumentError(f"transposed must be true or false, got {transposed!r}")
+    if version == 1:
+        black, white = (_int_lists(doc, key, "[row, col] pair", 2) for key in COLOURS)
+    else:
+        black, white = _run_members(doc, dims)
     try:
-        return PatternSet(GridDims(m, n), black, white, tuple(deviations), transposed)
+        return PatternSet(dims, black, white, tuple(deviations), transposed)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

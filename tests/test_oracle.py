@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from griddom import (CapacityError, GridDims, Vertex, coverage_map,
                      exact_gamma_bruteforce, exact_gamma_dp, oracle_vs_formula)
 from griddom import oracle
+from griddom.cli import main
 from griddom.oracle import DEFAULT_BACKPOINTER_BUDGET
 
 
@@ -138,6 +140,22 @@ def test_dp_width_caps():
         exact_gamma_dp(GridDims(5, 5), width_cap=4)
     assert exact_gamma_dp(GridDims(5, 5), width_cap=5).value == \
         exact_gamma_dp(GridDims(5, 5)).value
+
+
+def test_dp_width_ceiling_refuses_before_any_table(capsys):
+    """A width cap above MAX_WIDTH does not lift the ceiling: width 17 would
+    allocate a dense 3**17-entry mask (about 520 MB) before any relaxation."""
+    assert oracle.MAX_WIDTH == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="MAX_WIDTH 16"):
+            exact_gamma_dp(GridDims(17, 17), width_cap=17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert main(["oracle", "--m", "20", "--n", "20", "--width-cap", "20"]) == 2
+    assert "MAX_WIDTH" in capsys.readouterr().err
 
 
 def test_dp_witness_dropped_over_budget():

@@ -5,6 +5,7 @@ import json
 from itertools import chain
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,15 +18,47 @@ from griddom.render import DocumentError
 dims_16_60 = st.builds(GridDims, st.integers(16, 60), st.integers(16, 60))
 
 
-@given(dims_16_60)
-@settings(max_examples=60, deadline=None)
-def test_document_round_trip_preserves_members_and_orientation(dims):
-    p = construct(dims)
-    q = document_to_pattern(json.loads(dumps_document(pattern_to_document(p))))
+def _same_pattern(q, p):
     assert q.dims == p.dims and q.transposed == p.transposed
     assert np.array_equal(q.black_rc, p.black_rc)
     assert np.array_equal(q.white_rc, p.white_rc)
     assert q.deviations == p.deviations
+
+
+@given(dims_16_60)
+@settings(max_examples=60, deadline=None)
+def test_document_round_trip_preserves_members_and_orientation(dims):
+    p = construct(dims)
+    doc = pattern_to_document(p)
+    text = dumps_document(doc)
+    assert json.loads(text)["schema_version"] == 2
+    _same_pattern(document_to_pattern(json.loads(text)), p)
+    # schema 1, as pattern_to_document and earlier versions write it
+    _same_pattern(document_to_pattern(json.loads(json.dumps(doc))), p)
+    # the writer is idempotent on its own output
+    assert dumps_document(json.loads(text)) == text
+
+
+def _members_of_runs(runs):
+    return sorted([r, c + 5 * i] for r, c, count in runs for i in range(count))
+
+
+@given(dims_16_60, st.data())
+@settings(max_examples=60, deadline=None)
+def test_non_canonical_runs_parse_to_the_same_pattern(dims, data):
+    """Runs split anywhere (down to count-1 runs) and listed in any order
+    parse to the pattern the canonical runs give."""
+    p = construct(dims)
+    doc = json.loads(dumps_document(pattern_to_document(p)))
+    for key in ("black", "white"):
+        pieces = []
+        for r, c, count in doc[key]:
+            while count:
+                take = data.draw(st.integers(1, count))
+                pieces.append([r, c, take])
+                c, count = c + 5 * take, count - take
+        doc[key] = data.draw(st.permutations(pieces))
+    _same_pattern(document_to_pattern(doc), p)
 
 
 def _recount(m, n, black, white):
@@ -117,6 +150,68 @@ def test_parser_raises_only_document_error(slot, value):
     assert (q.dims.m, q.dims.n) == (doc["m"], doc["n"])
     assert q.black_rc.tolist() == sorted(doc["black"])
     assert q.white_rc.tolist() == sorted(doc["white"])
+
+
+BASE_RUNS = json.loads(dumps_document(BASE))
+RUN_SLOTS = [("schema_version",), ("m",), ("n",), ("black",), ("white",),
+             ("black", 0), ("white", 0), ("black", 0, 0), ("black", 0, 1),
+             ("black", 0, 2), ("white", 0, 1), ("white", 0, 2), ("deviations",)]
+
+
+@given(st.sampled_from(RUN_SLOTS), near_valid | json_values)
+@settings(max_examples=300, deadline=None)
+def test_run_parser_raises_only_document_error(slot, value):
+    doc = json.loads(json.dumps(BASE_RUNS))
+    *parents, last = slot
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        q = document_to_pattern(doc)
+    except DocumentError:
+        return
+    runs = doc["black"] + doc["white"]
+    values = [doc["m"], doc["n"], *chain.from_iterable(runs)]
+    assert all(type(v) is int for v in values)
+    assert all(count >= 1 and 1 <= r <= doc["m"] and 1 <= c and c + 5 * (count - 1) <= doc["n"]
+               for r, c, count in runs)
+    assert (q.dims.m, q.dims.n) == (doc["m"], doc["n"])
+    assert q.black_rc.tolist() == _members_of_runs(doc["black"])
+    assert q.white_rc.tolist() == _members_of_runs(doc["white"])
+
+
+_run = st.tuples(st.integers(-1, 18), st.integers(-1, 19), st.integers(-1, 5)).map(list)
+
+
+@given(st.lists(_run, max_size=6), st.lists(_run, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_runs_are_accepted_only_on_the_grid_and_disjoint(black, white):
+    """Runs past an edge, empty runs and runs that overlap (in one colour or
+    across the two) raise DocumentError; any other set of runs parses."""
+    m, n = 16, 17
+    doc = {"schema_version": 2, "m": m, "n": n, "black": black, "white": white}
+    on_grid = all(count >= 1 and 1 <= r <= m and c >= 1 and c + 5 * (count - 1) <= n
+                  for r, c, count in black + white)
+    cells = _members_of_runs(black + white) if on_grid else []
+    valid = on_grid and all(a != b for a, b in zip(cells, cells[1:]))
+    try:
+        q = document_to_pattern(doc)
+    except DocumentError:
+        assert not valid
+        return
+    assert valid
+    assert q.black_rc.tolist() == _members_of_runs(black)
+    assert q.white_rc.tolist() == _members_of_runs(white)
+
+
+def test_dumps_document_parses_its_input_strictly():
+    doc = json.loads(json.dumps(BASE))
+    doc["black"][0] = [1.5, doc["black"][0][1]]
+    with pytest.raises(DocumentError, match="integers"):
+        dumps_document(doc)
+    with pytest.raises(DocumentError, match="unsupported schema_version"):
+        dumps_document(dict(BASE_RUNS, schema_version=3))
 
 
 # Sides stay small, so no drawn argument vector can ask for a large build.

@@ -4,6 +4,7 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from griddom import (GridDims, construct, count_cross_check, document_to_pattern,
@@ -141,11 +142,13 @@ def test_document_rejects_garbage():
 
 def test_cli_construct_json(capsys):
     assert main(["construct", "--m", "16", "--n", "16", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert doc["gamma"] == 60
-    assert len(doc["black"]) + len(doc["white"]) == 60
-    assert doc["schema_version"] == 1
+    assert sum(count for _, _, count in doc["black"] + doc["white"]) == 60
+    assert doc["schema_version"] == 2
     assert "DEV-FIX-11" in doc["deviations"]
+    assert text == dumps_document(pattern_to_document(construct(GridDims(16, 16))))
 
 
 def test_cli_construct_ascii_24(capsys):
@@ -270,6 +273,13 @@ def test_cli_bench(capsys):
     rows = [line.split("\t") for line in out[1:]]
     assert [r[0] for r in rows] == ["16", "20"]
     assert int(rows[0][1]) == 60
+
+
+def test_cli_bench_rejects_fewer_than_one_repeat(capsys):
+    # zero repeats left no time to divide by and crashed with a TypeError
+    for repeats in ("0", "-2"):
+        assert main(["bench", "--sizes", "20", "--repeats", repeats]) == 2
+        assert "--repeats must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_bench_bad_sizes(capsys):
@@ -400,4 +410,71 @@ def test_cli_refuses_grids_over_the_cell_budget(tmp_path, capsys, monkeypatch):
 def test_dumps_document_is_compact():
     text = dumps_document(pattern_to_document(construct(GridDims(16, 16))))
     assert text.count("\n") == 1 and ": " not in text and ", " not in text
-    assert text.startswith('{"black":[[1,6],[1,11],')
+    assert text.startswith('{"black":[[1,6,2],[2,4,3],')
+
+
+def _runs_doc(m, n, black, white=(), **extra):
+    return {"schema_version": 2, "m": m, "n": n, "black": [list(r) for r in black],
+            "white": [list(r) for r in white], **extra}
+
+
+def test_schema_2_runs_expand_to_their_members():
+    p = document_to_pattern(_runs_doc(16, 16, [(2, 1, 4), (1, 3, 1)], [(16, 16, 1)]))
+    assert p.black == ((1, 3), (2, 1), (2, 6), (2, 11), (2, 16))
+    assert p.white == ((16, 16),)
+    assert p.deviations == () and p.transposed is False
+
+
+@pytest.mark.parametrize("black, match", [
+    ([(1, 1, 2), (1, 6, 1)], "duplicate black member"),      # overlapping runs
+    ([(1, 12, 2)], "does not lie"),                          # past the last column
+    ([(1, 1, 0)], "does not lie"),
+    ([(0, 1, 1)], "does not lie"),
+    ([(17, 1, 1)], "does not lie"),
+    ([(1, 0, 1)], "does not lie"),
+    ([(1, 1, -2**63)], "does not lie"),                      # count - 1 wraps round
+    ([(1, -2**63, 2)], "does not lie"),                      # n - first wraps round
+    ([(1, 1)], "exactly 3 entries"),
+    ([(1, 1, 1.0)], "integers"),
+    ([(1, 1, True)], "integers"),
+])
+def test_schema_2_rejects_bad_runs(black, match):
+    with pytest.raises(DocumentError, match=match):
+        document_to_pattern(_runs_doc(16, 16, black))
+
+
+def test_schema_2_refuses_more_members_than_cells_before_expanding():
+    # 81 runs of 200000 members each on a 16 x 10**6 grid: 16.2M > 16M cells
+    doc = _runs_doc(16, 10**6, [(1 + i % 16, 1, 200_000) for i in range(81)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError, match="16200000 members, more than"):
+            document_to_pattern(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_cli_verify_refuses_a_huge_run_document_before_expanding(tmp_path, capsys):
+    # about 200 bytes that claim a 10**6 x 10**6 grid and 2 * 10**11 members
+    text = json.dumps(_runs_doc(10**6, 10**6, [(1, 1, 10**11), (2, 1, 10**11)],
+                                deviations=[], transposed=False))
+    assert len(text) < 200
+    path = tmp_path / "runs.json"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    assert main(["verify", "--input", str(path)]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert "at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mn, limit", [((1500, 600), 64 * 1024), ((20, 20001), 1024)])
+def test_document_text_grows_with_the_perimeter(mn, limit):
+    p = construct(GridDims(*mn))
+    text = dumps_document(pattern_to_document(p))
+    assert len(text) <= limit
+    q = document_to_pattern(json.loads(text))
+    assert np.array_equal(q.black_rc, p.black_rc)
+    assert np.array_equal(q.white_rc, p.white_rc)
+    assert (q.transposed, q.deviations) == (p.transposed, p.deviations)
