@@ -22,11 +22,9 @@ from .grid import (
 )
 from .oracle import (
     CapacityError,
-    FormulaComparison,
     OracleResult,
     exact_gamma_bruteforce,
     exact_gamma_dp,
-    oracle_vs_formula,
 )
 from .render import (
     RenderedGrid,
@@ -52,7 +50,6 @@ __all__ = [
     "CapacityError",
     "CoverageReport",
     "DEVIATIONS",
-    "FormulaComparison",
     "GridDims",
     "MIN_SIDE",
     "OracleResult",
@@ -72,7 +69,6 @@ __all__ = [
     "gamma_formula",
     "interior_unique_coverage",
     "load_ledger",
-    "oracle_vs_formula",
     "pattern_class",
     "pattern_to_document",
     "render_ascii",

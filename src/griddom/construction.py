@@ -234,8 +234,8 @@ class PatternSet:
     black_rc/white_rc hold the members as read-only, row-major int32 (k, 2)
     arrays of 1-based (row, col) pairs. Any (k, 2) integer array-like is
     accepted and sorted; out-of-bounds members, duplicates and black/white
-    overlap raise ValueError when the set is created. black, white, members
-    and tags are views built on demand. Instances compare by identity.
+    overlap raise ValueError when the set is created. black, white and tags
+    are views built on demand. Instances compare by identity.
 
     tags maps the provenance groups F/M/L (disks in first, middle, last
     rows) and FR/FC/LC/LR (whites on the first row, first column, last
@@ -271,10 +271,6 @@ class PatternSet:
     @property
     def white(self) -> tuple[Vertex, ...]:
         return _vertices(self.white_rc)
-
-    @property
-    def members(self) -> frozenset[Vertex]:
-        return frozenset(self.black) | frozenset(self.white)
 
     @property
     def cardinality(self) -> int:

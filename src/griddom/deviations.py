@@ -5,22 +5,15 @@ griddom.construction and what construct() actually emits is recorded here,
 each justified by a verifier counterexample or an exhaustive-search bound.
 An entry's `edit` is the machine-readable form of its `corrected` text and
 the one statement of what a class changes: construct() applies the merged
-edits that class_edit() returns. The ledger ships as JSON
-(data/deviations.json, regenerated from this module) and the active copy may
-be swapped via the GRIDDOM_DEVIATION_LEDGER environment variable;
-count_cross_check uses the active copy to decide which count-table
-mismatches are expected, while construct() always reads this module.
+edits that class_edit() returns. An entry's `table_cells` are the
+count-table cells it is expected to perturb, which count_cross_check reads
+through expected_table_mismatches().
 """
 
-import json
-import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
-from functools import cache, lru_cache
-from importlib import resources
+from dataclasses import dataclass, field
+from functools import cache
 from types import MappingProxyType
-
-ENV_LEDGER_PATH = "GRIDDOM_DEVIATION_LEDGER"
 
 
 @dataclass(frozen=True)
@@ -28,12 +21,12 @@ class TableCell:
     """A cell of the bundled count tables this entry is expected to perturb.
 
     table is "first" / "middle" / "last" (black disks per block) or "white"
-    (white-square total); m_mod None matches every m residue.
+    (white-square total), keyed by the build orientation's residues.
     """
 
     table: str
     n_mod: int
-    m_mod: int | None
+    m_mod: int
     printed_minus_actual: int
 
 
@@ -285,7 +278,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="5S+1 (every full middle block holds exactly n disks)",
         rationale="five consecutive full rows hit each column residue once, "
                   "so a middle block always holds n = 5S+1 disks.",
-        table_cells=(TableCell("middle", 1, None, +10),),
+        # every build class with n = 5k+1: class (1,2) is built transposed
+        table_cells=tuple(TableCell("middle", 1, rm, +10) for rm in (0, 1, 3, 4)),
     ),
     DeviationEntry(
         id="DEV-T2-LAST-M0",
@@ -321,15 +315,13 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
     ),
 )
 
-BY_ID = {e.id: e for e in DEVIATIONS}
+BY_ID: Mapping[str, DeviationEntry] = MappingProxyType({e.id: e for e in DEVIATIONS})
 
 
 @cache
 def class_edit(cls: tuple[int, int]) -> tuple[tuple[str, ...], Mapping]:
     """Ids of the entries construct() applies to class (n mod 5, m mod 5),
-    and their edits merged into one read-only map.
-
-    Reads DEVIATIONS, never the $GRIDDOM_DEVIATION_LEDGER override."""
+    and their edits merged into one read-only map."""
     entries = [e for e in DEVIATIONS if e.edit is not None and cls in e.classes]
     edit = {}
     for e in entries:
@@ -337,64 +329,14 @@ def class_edit(cls: tuple[int, int]) -> tuple[tuple[str, ...], Mapping]:
     return tuple(e.id for e in entries), MappingProxyType(edit)
 
 
-def ledger_as_json() -> str:
-    payload = {
-        "schema_version": 1,
-        "entries": [asdict(e) for e in DEVIATIONS],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def load_ledger() -> Mapping[str, DeviationEntry]:
+    """The ledger as a read-only {id: DeviationEntry} map."""
+    return BY_ID
 
 
-def _packaged_ledger_text() -> str:
-    return resources.files("griddom").joinpath("data/deviations.json").read_text("utf-8")
-
-
-def load_ledger(path: str | None = None) -> dict:
-    """Load the active ledger: explicit path, else $GRIDDOM_DEVIATION_LEDGER,
-    else the packaged copy. Returns {id: entry-dict}."""
-    if path is None:
-        path = os.environ.get(ENV_LEDGER_PATH)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.loads(_packaged_ledger_text())
-    return {e["id"]: e for e in payload["entries"]}
-
-
-def expected_table_mismatches(ledger: dict | None = None) -> Mapping:
-    """Read-only map (table, n_mod, m_mod) -> (printed_minus_actual, ledger id).
-
-    m_mod may be None in the ledger (wildcard); the returned map keeps the
-    wildcard key and lookups must try both forms. Without `ledger`, the
-    active copy is parsed once per source: the packaged copy once, a
-    $GRIDDOM_DEVIATION_LEDGER file once per (path, mtime, size), so a
-    switched or rewritten override still takes effect.
-    """
-    if ledger is not None:
-        return _mismatch_map(ledger.values())
-    path = os.environ.get(ENV_LEDGER_PATH)
-    if path:
-        st = os.stat(path)
-        return _active_mismatches(path, st.st_mtime_ns, st.st_size)
-    return _active_mismatches("", 0, 0)
-
-
-def _mismatch_map(entries) -> Mapping:
-    out = {}
-    for entry in entries:
-        for cell in entry.get("table_cells", ()):
-            key = (cell["table"], cell["n_mod"], cell["m_mod"])
-            out[key] = (cell["printed_minus_actual"], entry["id"])
-    return MappingProxyType(out)
-
-
-@lru_cache(maxsize=8)
-def _active_mismatches(path: str, mtime_ns: int, size: int) -> Mapping:
-    """The map of the ledger at `path`; "" is the packaged copy."""
-    return _mismatch_map(load_ledger(path).values())
-
-
-def lookup_expected_mismatch(table: str, n_mod: int, m_mod: int,
-                             expected: Mapping) -> tuple[int, str] | None:
-    return expected.get((table, n_mod, m_mod)) or expected.get((table, n_mod, None))
+@cache
+def expected_table_mismatches() -> Mapping[tuple[str, int, int], tuple[int, str]]:
+    """Read-only map (table, n_mod, m_mod) -> (printed_minus_actual, ledger id)
+    of every count-table cell in the ledger's table_cells."""
+    return MappingProxyType({(c.table, c.n_mod, c.m_mod): (c.printed_minus_actual, e.id)
+                             for e in DEVIATIONS for c in e.table_cells})

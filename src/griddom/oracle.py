@@ -38,18 +38,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .construction import MIN_SIDE, gamma_formula
 from .grid import GridDims, Vertex
 
 BRUTE_FORCE_CELL_CAP = 20
 DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
 # ceiling on any width_cap, the width of the optional 16x16 run: the
-# reachable-state search allocates one dense mask per frontier code, 4 bytes
-# from width 17 on (about 520 MB at width 17, 14 GB at width 20)
+# reachable-state search allocates one dense mask entry per frontier code, so
+# any variant is refused past 3**MAX_WIDTH codes ([1,2] from width 13; 4**16
+# codes of 2 bytes would be 8 GiB)
 MAX_WIDTH = 16
 DEFAULT_BACKPOINTER_BUDGET = 256 * 2**20   # bytes
-# widths <= 13 of both variants take about 26 MB; one width-16 set (about
-# 218 MB) is never kept
+# domination widths <= 13 and [1,2] widths <= 10 take about 26 MB; one
+# width-16 set (about 218 MB) is never kept
 TABLE_CACHE_BYTES = 64 * 2**20
 VARIANTS = ("domination", "one-two")
 _INF = np.int32(2**30)
@@ -344,28 +344,29 @@ def exact_gamma_dp(
     """Exact minimum via the frontier DP; witness via back-pointers.
 
     The sweep always runs along the longer dimension so the frontier width is
-    min(m, n). Exceeding the width cap raises CapacityError naming the dense
-    bound B**width on the frontier codes. The DP runs over reachable frontier
-    states only, through predecessor tables built once per (variant, width)
-    and kept, read-only, while all kept tables total at most
-    TABLE_CACHE_BYTES (64 MiB, every width <= 13 of both variants; a
-    width-16 set is rebuilt on each call). `work` counts the (reachable
-    state, cell) pairs relaxed, `row_states[r]` is the reachable set
-    entering row offset r and `states` its maximum. `backpointer_bytes` is
-    the log size compared with `backpointer_budget`: one byte per cell for
-    each state with more than one predecessor, under half of the pairs in
-    `work`. When the log would exceed the budget (or return_witness is
-    false) only the value is computed and the result is flagged
-    witness_dropped.
+    min(m, n). Exceeding the width cap, or 3**MAX_WIDTH dense codes under any
+    cap, raises CapacityError naming the dense bound B**width on the
+    frontier codes. The DP runs over reachable frontier states only, through
+    predecessor tables built once per (variant, width) and kept, read-only,
+    while all kept tables total at most TABLE_CACHE_BYTES (64 MiB, every
+    domination width <= 13 and [1,2] width <= 10; a width-16 set is rebuilt
+    on each call). `work` counts the (reachable state, cell) pairs relaxed,
+    `row_states[r]` is the reachable set entering row offset r and `states`
+    its maximum. `backpointer_bytes` is the log size compared with
+    `backpointer_budget`: one byte per cell for each state with more than
+    one predecessor, under half of the pairs in `work`. When the log would
+    exceed the budget (or return_witness is false) only the value is
+    computed and the result is flagged witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
     base = _RULES[variant][0]
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
-    if width > MAX_WIDTH:
+    if base**width > 3**MAX_WIDTH:
         raise CapacityError(
-            f"frontier width {width} exceeds MAX_WIDTH {MAX_WIDTH}, the ceiling "
-            f"on any width cap: {base}**{width} = {base**width} frontier codes")
+            f"frontier width {width} has {base}**{width} = {base**width} frontier "
+            f"codes, more than the 3**{MAX_WIDTH} = {3**MAX_WIDTH} that MAX_WIDTH "
+            f"{MAX_WIDTH} allows under any width cap")
     if width > cap:
         raise CapacityError(
             f"frontier width {width} exceeds cap {cap}: {base}**{width} = "
@@ -431,28 +432,3 @@ def exact_gamma_dp(
         states=max(row_states), backpointer_bytes=log_bytes,
         row_states=row_states,
     )
-
-
-# ---------------------------------------------------------------------------
-# Comparison against the closed form
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FormulaComparison:
-    dims: GridDims
-    oracle_value: int
-    formula_value: int | None
-    equal: bool | None
-    method: str
-
-
-def oracle_vs_formula(dims: GridDims, variant: str = "domination",
-                      width_cap: int | None = None) -> FormulaComparison:
-    """Exact oracle value next to the closed form, when the form applies."""
-    res = exact_gamma_dp(dims, variant=variant, width_cap=width_cap,
-                         return_witness=False)
-    if min(dims.m, dims.n) >= MIN_SIDE:
-        formula = gamma_formula(dims)
-        return FormulaComparison(dims, res.value, formula,
-                                 res.value == formula, res.method)
-    return FormulaComparison(dims, res.value, None, None, res.method)

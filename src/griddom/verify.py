@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import MIN_SIDE, PatternSet, gamma_formula, row_major_keys
+from .deviations import expected_table_mismatches
 from .grid import GridDims, Vertex, coordinate_array
 
 COUNTEREXAMPLE_CAP = 32
@@ -320,7 +321,7 @@ class CountCrossCheck:
         return not self.unexplained
 
 
-def count_cross_check(p: PatternSet, ledger: dict | None = None) -> CountCrossCheck:
+def count_cross_check(p: PatternSet) -> CountCrossCheck:
     """Compare per-block disk counts and the white total with the bundled
     count tables.
 
@@ -328,9 +329,7 @@ def count_cross_check(p: PatternSet, ledger: dict | None = None) -> CountCrossCh
     orientation); mismatches are annotated with the ledger entry that
     predicts them, and anything unexplained is exposed via .unexplained.
     """
-    from .deviations import expected_table_mismatches, lookup_expected_mismatch
-
-    expected_mis = expected_table_mismatches(ledger)
+    expected_mis = expected_table_mismatches()
     bd = p.build_dims
     m, n = bd.m, bd.n
     S, T = n // 5, m // 5
@@ -345,7 +344,7 @@ def count_cross_check(p: PatternSet, ledger: dict | None = None) -> CountCrossCh
         matches = expected == actual
         ledger_id = None
         if not matches:
-            hit = lookup_expected_mismatch(table, rn, rm, expected_mis)
+            hit = expected_mis.get((table, rn, rm))
             if hit and hit[0] == expected - actual:
                 ledger_id = hit[1]
         rows.append(CountRow(label, expected, actual, matches, ledger_id))

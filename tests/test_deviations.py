@@ -1,28 +1,22 @@
-import json
-
 import pytest
 
 from griddom import (DEVIATIONS, GridDims, construct, coverage_map,
                      gamma_formula, load_ledger, pattern_class, verify_pattern)
 from griddom.construction import SIDES, PatternSet, _entry, build
-from griddom.deviations import (BY_ID, class_edit, expected_table_mismatches,
-                                ledger_as_json)
-
-
-def test_packaged_ledger_in_sync():
-    # the packaged JSON must be regenerated whenever the entries change
-    packaged = load_ledger()
-    fresh = {e["id"]: e for e in json.loads(ledger_as_json())["entries"]}
-    assert packaged == fresh
+from griddom.deviations import BY_ID, class_edit, expected_table_mismatches
 
 
 def test_ids_unique_and_resolvable():
     ids = [e.id for e in DEVIATIONS]
     assert len(ids) == len(set(ids))
     assert set(BY_ID) == set(ids)
+    ledger = load_ledger()
+    assert ledger is BY_ID and ledger["DEV-FIX-11"].classes == ((1, 1),)
+    with pytest.raises(TypeError):
+        ledger["DEV-X"] = DEVIATIONS[0]      # shared between calls: read-only
 
 
-def test_deviation_ids_for_class(tmp_path, monkeypatch):
+def test_deviation_ids_for_class():
     ids, edit = class_edit((1, 1))
     assert ids == ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-FIX-11")
     assert edit == {"last_row": (4, 1, -2, (3, -1))}
@@ -37,12 +31,6 @@ def test_deviation_ids_for_class(tmp_path, monkeypatch):
     assert ids[-1] == "DEV-FIX-00" and edit["remove"] == ((2, 0), (-1, 1))
     # count-table errata are not construction records
     assert "DEV-T2-MID-N1" not in class_edit((1, 0))[0]
-    # the override ledger steers count_cross_check only, never construct
-    path = tmp_path / "ledger.json"
-    path.write_text('{"schema_version": 1, "entries": []}')
-    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(path))
-    p = construct(GridDims(20, 20))
-    assert "DEV-FIX-00" in p.deviations and verify_pattern(p).ok
 
 
 def test_counterexamples_replay_against_baseline():
@@ -83,9 +71,11 @@ def test_corner_fix_counterexamples_replay():
 
 def test_expected_mismatch_lookup_shapes():
     table = expected_table_mismatches()
-    assert ("middle", 1, None) in table
+    # one key per build class: (1, 2) is built transposed, so never looked up
+    assert {k for k in table if k[:2] == ("middle", 1)} == {
+        ("middle", 1, rm) for rm in (0, 1, 3, 4)}
     assert table[("white", 1, 1)] == (1, "DEV-FIX-11")
-    # the parsed map is shared between calls, so it is read-only
+    # the cached map is shared between calls, so it is read-only
     with pytest.raises(TypeError):
         table[("white", 1, 1)] = (0, "DEV-X")
     assert expected_table_mismatches() is table

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from griddom import (CapacityError, GridDims, Vertex, coverage_map,
-                     exact_gamma_bruteforce, exact_gamma_dp, oracle_vs_formula)
+                     exact_gamma_bruteforce, exact_gamma_dp)
 from griddom import oracle
 from griddom.cli import main
 from griddom.oracle import DEFAULT_BACKPOINTER_BUDGET
@@ -143,19 +143,22 @@ def test_dp_width_caps():
 
 
 def test_dp_width_ceiling_refuses_before_any_table(capsys):
-    """A width cap above MAX_WIDTH does not lift the ceiling: width 17 would
-    allocate a dense 3**17-entry mask (about 520 MB) before any relaxation."""
+    """A width cap does not lift the ceiling of 3**MAX_WIDTH dense codes:
+    domination at width 17 would allocate a 3**17-entry mask (about 520 MB),
+    [1,2] at width 16 a 4**16-entry one (8 GiB), before any relaxation."""
     assert oracle.MAX_WIDTH == 16
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="MAX_WIDTH 16"):
-            exact_gamma_dp(GridDims(17, 17), width_cap=17)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    assert main(["oracle", "--m", "20", "--n", "20", "--width-cap", "20"]) == 2
-    assert "MAX_WIDTH" in capsys.readouterr().err
+    for variant, width, cli_side in (("domination", 17, "20"), ("one-two", 16, "16")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="MAX_WIDTH 16"):
+                exact_gamma_dp(GridDims(width, width), variant, width_cap=width)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, variant
+        assert main(["oracle", "--variant", variant, "--m", cli_side,
+                     "--n", cli_side, "--width-cap", cli_side]) == 2
+        assert "MAX_WIDTH" in capsys.readouterr().err
 
 
 def test_dp_witness_dropped_over_budget():
@@ -243,17 +246,6 @@ def test_one_two_10x10_value():
     # 24, cross-checked against an independent integer-programming solve
     res = exact_gamma_dp(GridDims(10, 10), "one-two", return_witness=False)
     assert res.value == 24
-
-
-def test_oracle_vs_formula_small_grid():
-    cmp = oracle_vs_formula(GridDims(4, 4))
-    assert cmp.oracle_value == 4
-    assert cmp.formula_value is None and cmp.equal is None
-
-
-def test_oracle_vs_formula_needs_width():
-    with pytest.raises(CapacityError):
-        oracle_vs_formula(GridDims(16, 16))
 
 
 def test_dp_capacity_message_names_a_bound():

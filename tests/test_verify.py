@@ -1,4 +1,3 @@
-from importlib.resources import files
 from itertools import product
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (GridDims, Vertex, construct,
+from griddom import (GridDims, Vertex, cli, construct,
                      corner_multiplicity_check, count_cross_check,
                      coverage_map, gamma_formula, interior_unique_coverage,
                      verify_pattern)
@@ -72,7 +71,7 @@ def test_verify_detects_added_member():
     d = GridDims(21, 20)
     p = construct(d)
     extra = next(v for v in product(range(1, d.m + 1), range(1, d.n + 1))
-                 if v not in p.members)
+                 if v not in set(p.black) | set(p.white))
     grown = PatternSet(dims=d, black_rc=p.black, white_rc=p.white + (extra,))
     v = verify_pattern(grown)
     assert not v.check("cardinality").passed
@@ -142,35 +141,27 @@ def test_count_cross_check_transposed_instance():
     assert cc.ok
 
 
-def test_env_ledger_override(tmp_path, monkeypatch):
-    # an empty ledger makes every mismatch unexplained
-    path = tmp_path / "ledger.json"
-    path.write_text('{"schema_version": 1, "entries": []}')
-    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(path))
-    cc = count_cross_check(construct(GridDims(16, 16)))
-    assert not cc.ok and cc.unexplained
+def test_env_ledger_override(monkeypatch, capsys):
+    """A count off by other than its ledgered amount is unexplained.
 
+    16x16 (class (1,1)) has 12 whites where the table prints 13, which
+    DEV-FIX-11 predicts; 13 whites match the table, 14 match neither."""
+    def with_whites(dims, k):
+        p = construct(dims)
+        members = set(p.black) | set(p.white)
+        frame = [v for v in product((1,), range(1, dims.n + 1)) if v not in members]
+        return PatternSet(p.dims, p.black_rc, list(p.white) + frame[:k],
+                          p.deviations, p.transposed)
 
-def test_env_ledger_override_switch_and_rewrite(tmp_path, monkeypatch):
-    # the parsed ledger is cached per source, so a different override path
-    # and a rewrite of the same path must both take effect
-    p = construct(GridDims(16, 16))
-    packaged = (files("griddom") / "data" / "deviations.json").read_text("utf-8")
-    full, empty = tmp_path / "full.json", tmp_path / "empty.json"
-    full.write_text(packaged)
-    empty.write_text('{"schema_version": 1, "entries": []}')
-    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(full))
-    assert count_cross_check(p).ok
-    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(empty))
-    assert not count_cross_check(p).ok
-    monkeypatch.setenv("GRIDDOM_DEVIATION_LEDGER", str(full))
-    assert count_cross_check(p).ok
-    full.write_text(empty.read_text())
-    assert not count_cross_check(p).ok
-    full.write_text(packaged)
-    assert count_cross_check(p).ok
-    monkeypatch.delenv("GRIDDOM_DEVIATION_LEDGER")
-    assert count_cross_check(p).ok
+    d = GridDims(16, 16)
+    assert count_cross_check(with_whites(d, 1)).ok
+    cc = count_cross_check(with_whites(d, 2))
+    assert [r.label for r in cc.unexplained] == ["white"]
+    assert (cc.unexplained[0].expected, cc.unexplained[0].actual) == (13, 14)
+    assert cli.main(["crosscheck", "--m", "16", "--n", "16"]) == 0
+    monkeypatch.setattr(cli, "construct", lambda dims: with_whites(dims, 2))
+    assert cli.main(["crosscheck", "--m", "16", "--n", "16"]) == 1
+    assert "white: table 13, actual 14: MISMATCH (unexplained)" in capsys.readouterr().out
 
 
 def test_verdict_summary_format():
