@@ -15,40 +15,44 @@ from dataclasses import asdict
 
 from .construction import MIN_SIDE, construct, gamma_formula
 from .grid import GridDims
-from .oracle import CapacityError, exact_gamma_bruteforce, exact_gamma_dp
-from .render import (DocumentError, document_dims, document_to_pattern,
-                     dumps_pattern, render_ascii, render_svg)
+from .oracle import exact_gamma_bruteforce, exact_gamma_dp
+from .render import (document_dims, document_to_pattern, dumps_pattern,
+                     render_ascii, render_svg)
 from .verify import corner_multiplicity_check, count_cross_check, verify_pattern
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-# Largest m*n that verify and construct --format ascii/svg accept. Their
-# memory grows with the cells (about 6 bytes each for the verifier, 15 for
-# the SVG), so a larger grid is refused before anything is allocated.
+# Largest m*n that verify and construct --format ascii/svg accept, and largest
+# member count that construct --format json, crosscheck and bench accept: their
+# memory grows with it, so a larger grid is refused before anything is built.
 MAX_CELLS = 25_000_000
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _dims(m: int, n: int) -> GridDims:
     if min(m, n) < MIN_SIDE:
-        raise _UsageError(f"m and n must be >= {MIN_SIDE}; got {m}x{n}")
+        raise ValueError(f"m and n must be >= {MIN_SIDE}; got {m}x{n}")
     return GridDims(m, n)
 
 
 def _within_budget(dims: GridDims) -> GridDims:
     cells = dims.m * dims.n
     if cells > MAX_CELLS:
-        raise _UsageError(f"a {dims.m}x{dims.n} grid has {cells} cells; this "
-                          f"command handles at most {MAX_CELLS}")
+        raise ValueError(f"a {dims.m}x{dims.n} grid has {cells} cells; this "
+                         f"command handles at most {MAX_CELLS}")
     return dims
+
+
+def _members_within_budget(dims: GridDims) -> None:
+    members = gamma_formula(dims)
+    if members > MAX_CELLS:
+        raise ValueError(f"a {dims.m}x{dims.n} pattern has {members} members; "
+                         f"this command handles at most {MAX_CELLS}")
 
 
 def cmd_construct(args) -> int:
     dims = _dims(args.m, args.n)
     if args.format != "json":
         _within_budget(dims)
+    _members_within_budget(dims)
     p = construct(dims)
     if args.format == "json":
         sys.stdout.write(dumps_pattern(p))
@@ -100,19 +104,16 @@ def cmd_verify(args) -> int:
             with open(args.input, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except OSError as exc:
-            raise _UsageError(f"cannot read {args.input}: {exc}")
+            raise ValueError(f"cannot read {args.input}: {exc}")
         except json.JSONDecodeError as exc:
-            raise _UsageError(
+            raise ValueError(
                 f"parse error in {args.input} at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}")
-        try:
-            _within_budget(document_dims(doc))
-            p = document_to_pattern(doc)
-        except DocumentError as exc:
-            raise _UsageError(str(exc))
+        _within_budget(document_dims(doc))
+        p = document_to_pattern(doc)
     else:
         if args.m is None or args.n is None:
-            raise _UsageError("verify needs --input or both --m and --n")
+            raise ValueError("verify needs --input or both --m and --n")
         p = construct(_within_budget(_dims(args.m, args.n)))
     payload = _verdict_payload(p)
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -127,14 +128,10 @@ def cmd_gamma(args) -> int:
 
 def cmd_oracle(args) -> int:
     dims = GridDims(args.m, args.n)
-    try:
-        if args.method == "brute":
-            res = exact_gamma_bruteforce(dims, variant=args.variant)
-        else:
-            res = exact_gamma_dp(dims, variant=args.variant,
-                                 width_cap=args.width_cap)
-    except CapacityError as exc:
-        raise _UsageError(str(exc))
+    if args.method == "brute":
+        res = exact_gamma_bruteforce(dims, variant=args.variant)
+    else:
+        res = exact_gamma_dp(dims, variant=args.variant, width_cap=args.width_cap)
     payload = asdict(res)
     payload["dims"] = {"m": dims.m, "n": dims.n}
     payload["witness"] = ([list(v) for v in res.witness]
@@ -150,21 +147,21 @@ def _parse_range(text: str) -> range:
             return range(int(lo), int(hi) + 1)
         return range(int(lo), int(lo) + 1)
     except ValueError:
-        raise _UsageError(f"bad range {text!r}; expected LO:HI or a single value")
+        raise ValueError(f"bad range {text!r}; expected LO:HI or a single value")
 
 
 def cmd_sweep(args) -> int:
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     if not m_range or not n_range:
-        raise _UsageError("empty sweep range")
+        raise ValueError("empty sweep range")
     if min(m_range.start, n_range.start) < MIN_SIDE:
-        raise _UsageError(f"sweep ranges must start at {MIN_SIDE} or above")
+        raise ValueError(f"sweep ranges must start at {MIN_SIDE} or above")
     all_ok = True
     try:
         fh = open(args.out, "w", newline="", encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot open {args.out}: {exc}")
+        raise ValueError(f"cannot open {args.out}: {exc}")
     with fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "n", "cardinality", "formula", "dominating",
@@ -227,13 +224,14 @@ def cmd_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
-        raise _UsageError(f"bad sizes list {args.sizes!r}")
+        raise ValueError(f"bad sizes list {args.sizes!r}")
     if not sizes:
-        raise _UsageError("empty sizes list")
+        raise ValueError("empty sizes list")
     if min(sizes) < MIN_SIDE:
-        raise _UsageError(f"bench sizes must be >= {MIN_SIDE}")
+        raise ValueError(f"bench sizes must be >= {MIN_SIDE}")
     if args.repeats < 1:
-        raise _UsageError(f"--repeats must be >= 1; got {args.repeats}")
+        raise ValueError(f"--repeats must be >= 1; got {args.repeats}")
+    _members_within_budget(GridDims(max(sizes), max(sizes)))
     header = ["side", "members", "time_ns", "ns_per_member"]
     if args.alloc:
         header += ["peak_bytes", "bytes_per_member"]
@@ -249,7 +247,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    p = construct(_dims(args.m, args.n))
+    dims = _dims(args.m, args.n)
+    _members_within_budget(dims)
+    p = construct(dims)
     cc = count_cross_check(p)
     for row in cc.rows:
         status = ("ok" if row.matches
@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:         # usage, document and capacity errors alike
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -235,20 +235,20 @@ class PatternSet:
     arrays of 1-based (row, col) pairs. Any (k, 2) integer array-like is
     accepted and sorted; out-of-bounds members, duplicates and black/white
     overlap raise ValueError when the set is created. black, white and tags
-    are views built on demand. Instances compare by identity.
+    are views built on demand. Instances compare by identity. deviations and
+    transposed are the grid class's (deviations.class_edit), never stored;
+    grids below MIN_SIDE have none.
 
     tags maps the provenance groups F/M/L (disks in first, middle, last
     rows) and FR/FC/LC/LR (whites on the first row, first column, last
-    column, last row) to row-major member tuples. For a transposed build the
+    column, last row) to row-major member tuples. For a transposed class the
     tags keep their build-orientation meaning, so e.g. "F" is the final
-    grid's first column; the flag records this.
+    grid's first column.
     """
 
     dims: GridDims
     black_rc: np.ndarray
     white_rc: np.ndarray
-    deviations: tuple[str, ...] = ()
-    transposed: bool = False
 
     def __post_init__(self):
         if max(self.dims.m, self.dims.n) > MAX_SIDE:
@@ -277,6 +277,19 @@ class PatternSet:
         return len(self.black_rc) + len(self.white_rc)
 
     @property
+    def _ledger(self) -> tuple[tuple[str, ...], Mapping]:
+        small = min(self.dims.m, self.dims.n) < MIN_SIDE
+        return ((), {}) if small else class_edit(pattern_class(self.dims))
+
+    @property
+    def deviations(self) -> tuple[str, ...]:
+        return self._ledger[0]
+
+    @property
+    def transposed(self) -> bool:
+        return self._ledger[1].get("transpose", False)
+
+    @property
     def build_dims(self) -> GridDims:
         """Dimensions in the orientation the case tables were applied."""
         return self.dims.transposed if self.transposed else self.dims
@@ -303,22 +316,17 @@ def construct(dims: GridDims) -> PatternSet:
     """Build a minimum dominating set for dims.
 
     The class's ledger records (deviations.class_edit) state what changes
-    from the paper's tables. A class whose record transposes is built as its
-    mirror class on the transposed grid and flipped back. For every class the
-    result dominates, is a [1,2]-set, covers the sub-grid exactly once and
-    has size gamma_formula(dims).
+    from the paper's tables. A class whose records transpose is built with
+    its mirror class's edit on the transposed grid and flipped back. For
+    every class the result dominates, is a [1,2]-set, covers the sub-grid
+    exactly once and has size gamma_formula(dims).
     """
     _check_dims(dims)
-    ids, edit = class_edit(pattern_class(dims))
+    edit = class_edit(pattern_class(dims))[1]
     transposed = edit.get("transpose", False)
-    core = dims
-    if transposed:
-        core = dims.transposed
-        core_ids, edit = class_edit(pattern_class(core))
-        ids += tuple(i for i in core_ids if i not in ids)
-    black, white = build(core, edit)
+    black, white = build(dims.transposed if transposed else dims, edit)
     if transposed:
         # PatternSet re-sorts the swapped black columns into row-major order
         black, white = black[:, ::-1], [(c, r) for r, c in white]
     # the frame is small: sorting it here spares PatternSet its numpy sort
-    return PatternSet(dims, black, sorted(white), ids, transposed)
+    return PatternSet(dims, black, sorted(white))

@@ -321,8 +321,12 @@ BY_ID: Mapping[str, DeviationEntry] = MappingProxyType({e.id: e for e in DEVIATI
 @cache
 def class_edit(cls: tuple[int, int]) -> tuple[tuple[str, ...], Mapping]:
     """Ids of the entries construct() applies to class (n mod 5, m mod 5),
-    and their edits merged into one read-only map."""
+    and their edits merged into one read-only map. A class that transposes
+    is built as its mirror (m mod 5, n mod 5) and takes its entries too."""
     entries = [e for e in DEVIATIONS if e.edit is not None and cls in e.classes]
+    if any(e.edit.get("transpose") for e in entries):
+        entries += [e for e in DEVIATIONS if e.edit is not None
+                    and cls[::-1] in e.classes and e not in entries]
     edit = {}
     for e in entries:
         edit.update(e.edit)

@@ -47,7 +47,7 @@ DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
 # any variant is refused past 3**MAX_WIDTH codes ([1,2] from width 13; 4**16
 # codes of 2 bytes would be 8 GiB)
 MAX_WIDTH = 16
-DEFAULT_BACKPOINTER_BUDGET = 256 * 2**20   # bytes
+BACKPOINTER_BUDGET = 256 * 2**20   # bytes
 # domination widths <= 13 and [1,2] widths <= 10 take about 26 MB; one
 # width-16 set (about 218 MB) is never kept
 TABLE_CACHE_BYTES = 64 * 2**20
@@ -209,14 +209,12 @@ def _reachable_states(successors, base: int, width: int, init: int):
     """
     seen = np.zeros(base ** width, dtype=np.min_scalar_type((1 << width) - 1))
     seen[init] = 1
-    # int32 codes (up to 3**19 or 4**15) halve the memory and speed the digit
-    # arithmetic
-    code = np.int32 if base ** width <= 2**31 else np.int64
-    found = [[np.array([init], dtype=code)]] + [[] for _ in range(width - 1)]
+    # exact_gamma_dp's 3**MAX_WIDTH ceiling keeps every code within int32
+    found = [[np.array([init], dtype=np.int32)]] + [[] for _ in range(width - 1)]
     fresh, r = found[0][0], 0
     while fresh.size:
         nxt = (r + 1) % width
-        cand = np.concatenate(successors(fresh, r)).astype(code, copy=False)
+        cand = np.concatenate(successors(fresh, r)).astype(np.int32, copy=False)
         cand = cand[cand >= 0]
         cand = np.sort(cand[(seen[cand] & (1 << nxt)) == 0])
         fresh = cand[np.diff(cand, prepend=-1) != 0]
@@ -339,7 +337,6 @@ def exact_gamma_dp(
     variant: str = "domination",
     width_cap: int | None = None,
     return_witness: bool = True,
-    backpointer_budget: int = DEFAULT_BACKPOINTER_BUDGET,
 ) -> OracleResult:
     """Exact minimum via the frontier DP; witness via back-pointers.
 
@@ -353,8 +350,8 @@ def exact_gamma_dp(
     on each call). `work` counts the (reachable state, cell) pairs relaxed,
     `row_states[r]` is the reachable set entering row offset r and `states`
     its maximum. `backpointer_bytes` is the log size compared with
-    `backpointer_budget`: one byte per cell for each state with more than
-    one predecessor, under half of the pairs in `work`. When the log would
+    BACKPOINTER_BUDGET: one byte per cell for each state with more than one
+    predecessor, under half of the pairs in `work`. When the log would
     exceed the budget (or return_witness is false) only the value is
     computed and the result is flagged witness_dropped.
     """
@@ -378,7 +375,7 @@ def exact_gamma_dp(
     # states past preds[1] have one predecessor and log nothing
     choices = [preds[1].size if len(preds) > 1 else 0 for preds, _ in tables]
     log_bytes = sum(choices) * length
-    keep_bp = return_witness and log_bytes <= backpointer_budget
+    keep_bp = return_witness and log_bytes <= BACKPOINTER_BUDGET
     top = max(sizes)
     values = np.full(top, _INF, dtype=np.int32)
     values[init_index] = 0

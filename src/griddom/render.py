@@ -11,6 +11,7 @@ from .grid import GridDims
 
 # column step of a schema-2 run: the period of the disk lattice
 RUN_STEP = 5
+SVG_CELL = 16      # pixels per vertex side in SVG output
 COLOURS = ("black", "white")
 LEGEND = {"empty": ".", "black": "B", "white": "W"}
 
@@ -54,11 +55,11 @@ def _centres(count: int, cell: int, shift: int = 0) -> list[str]:
     return [f"{first + cell * k}{dot}{frac}" for k in range(count)]
 
 
-def _svg_pieces(p: PatternSet, cell: int) -> list[str]:
+def _svg_pieces(p: PatternSet) -> list[str]:
     """The SVG text as a list of pieces, each line ending in its newline.
     A member's line is two shared pieces, its column's head and its row's
     tail, each formatted once per shape, so no per-member string is built."""
-    m, n = p.dims.m, p.dims.n
+    m, n, cell = p.dims.m, p.dims.n, SVG_CELL
     wpx, hpx = n * cell, m * cell
     frame = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -92,11 +93,11 @@ def _svg_pieces(p: PatternSet, cell: int) -> list[str]:
     return seq.tolist()
 
 
-def render_svg(p: PatternSet, cell: int = 16) -> str:
+def render_svg(p: PatternSet) -> str:
     """Static SVG 1.1: black circles for disks, outlined squares for whites."""
     # the object array behind the pieces is freed before the join, so the
     # transient is one list of references next to the output text
-    return "".join(_svg_pieces(p, cell))
+    return "".join(_svg_pieces(p))
 
 
 def _document(p: PatternSet, version: int, lists) -> dict:
@@ -217,29 +218,21 @@ def document_to_pattern(doc: dict) -> PatternSet:
     Schema 1 lists each member as a [row, col] pair, schema 2 as part of a
     [row, first_col, count] run of columns first_col, first_col + 5, ...
     m, n and every list entry must be exact JSON integers (no floats, no
-    booleans) and "deviations", if present, a list of strings. Every run
-    must lie on the grid and all runs together may hold at most m*n
-    members; both are checked before any run is expanded. Duplicates,
-    black/white overlap and out-of-bounds members are rejected. Provenance
-    tags are views of the positions; coordinates, dims, applied deviation
-    ids and the build orientation survive the round trip. A missing
-    "transposed" key reads as False; a present one must be a JSON boolean.
+    booleans). Every run must lie on the grid and all runs together may hold
+    at most m*n members; both are checked before any run is expanded.
+    Duplicates, black/white overlap and out-of-bounds members are rejected.
+    "gamma", "deviations" and "transposed" are written for readers and never
+    read: the pattern derives them from m and n.
     """
     dims = document_dims(doc)
     version = doc.get("schema_version")
     if type(version) is not int or version not in (1, 2):
         raise DocumentError(f"unsupported schema_version {version!r}")
-    deviations = doc.get("deviations", [])
-    if type(deviations) is not list or not set(map(type, deviations)) <= {str}:
-        raise DocumentError(f"deviations must be a list of id strings, got {deviations!r}")
-    transposed = doc.get("transposed", False)
-    if not isinstance(transposed, bool):
-        raise DocumentError(f"transposed must be true or false, got {transposed!r}")
     if version == 1:
         black, white = (_int_lists(doc, key, "[row, col] pair", 2) for key in COLOURS)
     else:
         black, white = _run_members(doc, dims)
     try:
-        return PatternSet(dims, black, white, tuple(deviations), transposed)
+        return PatternSet(dims, black, white)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

@@ -308,8 +308,6 @@ class CountRow:
 @dataclass(frozen=True)
 class CountCrossCheck:
     dims: GridDims
-    build_dims: GridDims
-    transposed: bool
     rows: tuple[CountRow, ...]
 
     @property
@@ -325,13 +323,12 @@ def count_cross_check(p: PatternSet) -> CountCrossCheck:
     """Compare per-block disk counts and the white total with the bundled
     count tables.
 
-    Evaluated in the orientation the tables were applied (the build
-    orientation); mismatches are annotated with the ledger entry that
-    predicts them, and anything unexplained is exposed via .unexplained.
+    Evaluated in the orientation the tables were applied (p.build_dims);
+    mismatches are annotated with the ledger entry that predicts them, and
+    anything unexplained is exposed via .unexplained.
     """
     expected_mis = expected_table_mismatches()
-    bd = p.build_dims
-    m, n = bd.m, bd.n
+    m, n = p.build_dims.m, p.build_dims.n
     S, T = n // 5, m // 5
     rn, rm = n % 5, m % 5
     build_rows = p.black_rc[:, 1 if p.transposed else 0]
@@ -360,5 +357,4 @@ def count_cross_check(p: PatternSet) -> CountCrossCheck:
         add(f"middle[{i}]", "middle", _table2_middle(S, rn), actual)
     add("last", "last", _table2_last(S, rn, rm), last)
     add("white", "white", _table3_white(S, T, rn, rm), len(p.white_rc))
-    return CountCrossCheck(dims=p.dims, build_dims=bd, transposed=p.transposed,
-                           rows=tuple(rows))
+    return CountCrossCheck(dims=p.dims, rows=tuple(rows))

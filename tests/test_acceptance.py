@@ -169,9 +169,10 @@ def test_criterion_8_table_cross_checks():
     seen_cells = set()
     for m in range(16, 41):
         for n in range(16, 41):
-            cc = count_cross_check(construct(GridDims(m, n)))
+            p = construct(GridDims(m, n))
+            cc = count_cross_check(p)
             unexplained.extend((m, n, r) for r in cc.unexplained)
-            rn, rm = cc.build_dims.n % 5, cc.build_dims.m % 5
+            rn, rm = p.build_dims.n % 5, p.build_dims.m % 5
             for r in cc.rows:
                 if not r.matches:
                     assert r.ledger_id is not None

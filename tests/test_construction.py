@@ -230,7 +230,7 @@ def test_class_maps_are_consistent():
     assert transposed == {(0, 1), (0, 3), (0, 4), (1, 2), (4, 1), (4, 2)}
     assert transposed == set(BY_ID["DEV-ORIENT"].classes)
     assert {cls for cls in CLASSES if "last_row_from" in class_edit(cls)[1]} == {
-        (1, 3), (2, 1), (3, 4)}
+        (1, 3), (2, 1), (3, 4), (1, 2)}     # (1, 2) is built as (2, 1)
     # a transposed class's mirror must not itself transpose
     for (a, b) in transposed:
         assert not class_edit((b, a))[1].get("transpose")

@@ -22,11 +22,11 @@ def test_deviation_ids_for_class():
     assert edit == {"last_row": (4, 1, -2, (3, -1))}
     with pytest.raises(TypeError):
         edit["offset"] = 4                # shared between calls: read-only
+    # a transposed class resolves to its mirror's records and edit
     ids, edit = class_edit((1, 2))
-    assert "DEV-ORIENT" in ids and edit == {"transpose": True}
-    # the mirror class's fix applies to a transposed build
-    assert construct(GridDims(17, 16)).deviations == (
-        "DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-ORIENT", "DEV-FIX-21")
+    assert ids == ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-ORIENT", "DEV-FIX-21")
+    assert edit == {"transpose": True, "last_row_from": 2}
+    assert construct(GridDims(17, 16)).deviations == ids
     ids, edit = class_edit((0, 0))
     assert ids[-1] == "DEV-FIX-00" and edit["remove"] == ((2, 0), (-1, 1))
     # count-table errata are not construction records

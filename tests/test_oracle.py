@@ -7,7 +7,7 @@ from griddom import (CapacityError, GridDims, Vertex, coverage_map,
                      exact_gamma_bruteforce, exact_gamma_dp)
 from griddom import oracle
 from griddom.cli import main
-from griddom.oracle import DEFAULT_BACKPOINTER_BUDGET
+from griddom.oracle import BACKPOINTER_BUDGET
 
 
 def reference_minimum(m, n, variant="domination"):
@@ -102,7 +102,7 @@ def test_dp_13x13_witness_within_budget():
     # one byte per cell for each of the 670511 states with a choice
     assert res.backpointer_bytes == 670511 * 13
     assert 0 < res.backpointer_bytes < res.work
-    assert res.backpointer_bytes <= DEFAULT_BACKPOINTER_BUDGET
+    assert res.backpointer_bytes <= BACKPOINTER_BUDGET
 
 
 def test_dp_reachable_state_counts():
@@ -161,16 +161,18 @@ def test_dp_width_ceiling_refuses_before_any_table(capsys):
         assert "MAX_WIDTH" in capsys.readouterr().err
 
 
-def test_dp_witness_dropped_over_budget():
-    res = exact_gamma_dp(GridDims(4, 8), backpointer_budget=64)
+def test_dp_witness_dropped_over_budget(monkeypatch):
     full = exact_gamma_dp(GridDims(4, 8))
+    monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", 64)
+    res = exact_gamma_dp(GridDims(4, 8))
     assert res.value == full.value
     assert res.witness is None and res.witness_dropped
     assert full.witness is not None and not full.witness_dropped
     # the log size that was compared with the budget explains the drop
     assert res.backpointer_bytes == full.backpointer_bytes > 64
     assert 0 < res.states <= 3 ** 4
-    exact = exact_gamma_dp(GridDims(4, 8), backpointer_budget=full.backpointer_bytes)
+    monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", full.backpointer_bytes)
+    exact = exact_gamma_dp(GridDims(4, 8))
     assert exact.witness == full.witness
 
 

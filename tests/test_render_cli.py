@@ -12,7 +12,7 @@ from griddom import (GridDims, construct, count_cross_check, document_to_pattern
 from griddom import cli
 from griddom.cli import main
 from griddom.construction import PatternSet
-from griddom.render import DocumentError, _centres
+from griddom.render import DocumentError, _centres, dumps_pattern
 
 
 def test_ascii_render_16x16():
@@ -116,14 +116,21 @@ def test_document_round_trip_keeps_orientation():
     assert count_cross_check(q).unexplained == ()
 
 
-def test_document_transposed_key_is_strict():
-    doc = pattern_to_document(construct(GridDims(16, 16)))
-    assert doc["transposed"] is False
-    del doc["transposed"]
-    assert document_to_pattern(doc).transposed is False
-    for bad in (1, 0, "true", None):
-        with pytest.raises(DocumentError, match="transposed"):
-            document_to_pattern(dict(doc, transposed=bad))
+# 21x25 and 16x20 are built transposed, 20x21 directly
+@pytest.mark.parametrize("mn", [(21, 25), (16, 20), (20, 21)], ids=["21x25", "16x20", "20x21"])
+@pytest.mark.parametrize("provenance", [
+    {}, {"transposed": True, "deviations": []},
+    {"transposed": False, "deviations": ["DEV-X"]}, {"transposed": None, "deviations": 5},
+], ids=["removed", "true", "false", "malformed"])
+def test_document_provenance_comes_from_the_grid(mn, provenance):
+    # transposed and deviations are written for readers; the parsed pattern
+    # takes its provenance from m and n, whatever the text says
+    p = construct(GridDims(*mn))
+    doc = json.loads(dumps_pattern(p))
+    del doc["transposed"], doc["deviations"]
+    q = document_to_pattern(dict(doc, **provenance))
+    assert (q.transposed, q.deviations) == (p.transposed, p.deviations)
+    assert count_cross_check(q).unexplained == ()
 
 
 def test_document_rejects_garbage():
@@ -247,7 +254,7 @@ def test_cli_sweep_reports_deficit_rows(tmp_path, monkeypatch):
 
     def short(dims):
         p = construct(dims)
-        return PatternSet(dims, p.black_rc[1:], p.white_rc, p.deviations, p.transposed)
+        return PatternSet(dims, p.black_rc[1:], p.white_rc)
 
     monkeypatch.setattr(cli, "construct", short)
     assert main(argv) == 1
@@ -371,11 +378,7 @@ def test_document_sorts_unsorted_lists():
     lambda d: d.__setitem__("m", True),
     lambda d: d["white"].__setitem__(0, [1, 2, 3]),
     lambda d: d["white"].append(d["black"][0]),
-    lambda d: d.__setitem__("deviations", "DEV-X"),
-    lambda d: d.__setitem__("deviations", [1, 2.5, None]),
-    lambda d: d.__setitem__("deviations", {"DEV-X": 1}),
-], ids=["duplicate", "float-coordinate", "float-m", "bool-m", "triple", "overlap",
-        "deviations-string", "deviations-numbers", "deviations-object"])
+], ids=["duplicate", "float-coordinate", "float-m", "bool-m", "triple", "overlap"])
 def test_cli_verify_input_rejects_invalid_document(tmp_path, capsys, mutate):
     doc = _doc16()
     mutate(doc)
@@ -398,13 +401,32 @@ def test_cli_refuses_grids_over_the_cell_budget(tmp_path, capsys, monkeypatch):
                  ["construct", "--format", "svg"]):
         assert main(argv + ["--m", str(side), "--n", str(side)]) == 2
     # the budget is inclusive, and json output, which grows with the
-    # members only, is not held to it
+    # members only, is held to it by its member count
     monkeypatch.setattr(cli, "MAX_CELLS", 20 * 20)
     capsys.readouterr()
     assert main(["verify", "--m", "20", "--n", "20"]) == 0
     assert main(["verify", "--m", "20", "--n", "21"]) == 2
     assert main(["construct", "--m", "20", "--n", "21", "--format", "svg"]) == 2
     assert main(["construct", "--m", "20", "--n", "21", "--format", "json"]) == 0
+
+
+def test_cli_refuses_patterns_over_the_member_budget(capsys, monkeypatch):
+    # construct --format json, crosscheck and bench hold gamma_formula(dims)
+    # members; 20x20 has 92 and 21x21 has 101, so a budget of 92 splits them
+    monkeypatch.setattr(cli, "MAX_CELLS", 92)
+    assert main(["construct", "--m", "20", "--n", "20", "--format", "json"]) == 0
+    assert main(["crosscheck", "--m", "20", "--n", "20"]) == 0
+    assert main(["bench", "--sizes", "16,20", "--repeats", "1"]) == 0
+    capsys.readouterr()
+    assert main(["crosscheck", "--m", "21", "--n", "21"]) == 2
+    assert "101 members" in capsys.readouterr().err
+    assert main(["construct", "--m", "21", "--n", "21", "--format", "json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a 21x21 pattern has 101 members; this command handles at most 92\n")
+    # every size is checked before the first is built
+    assert main(["bench", "--sizes", "16,21", "--repeats", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "101 members" in err
 
 
 def test_dumps_document_is_compact():
@@ -422,7 +444,9 @@ def test_schema_2_runs_expand_to_their_members():
     p = document_to_pattern(_runs_doc(16, 16, [(2, 1, 4), (1, 3, 1)], [(16, 16, 1)]))
     assert p.black == ((1, 3), (2, 1), (2, 6), (2, 11), (2, 16))
     assert p.white == ((16, 16),)
-    assert p.deviations == () and p.transposed is False
+    # provenance is the grid's class (1, 1), whatever the members
+    assert p.deviations == ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-FIX-11")
+    assert p.transposed is False
 
 
 @pytest.mark.parametrize("black, match", [

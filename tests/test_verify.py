@@ -79,9 +79,9 @@ def test_verify_detects_added_member():
 
 
 def test_verify_is_provenance_oblivious():
+    # a set rebuilt from plain member tuples verifies like the built one
     p = construct(GridDims(17, 18))
-    swapped = PatternSet(dims=p.dims, black_rc=p.black, white_rc=p.white,
-                         deviations=())
+    swapped = PatternSet(dims=p.dims, black_rc=p.black, white_rc=p.white)
     assert verify_pattern(swapped).ok == verify_pattern(p).ok
 
 
@@ -137,8 +137,23 @@ def test_count_cross_check_direct_core_20x21():
 def test_count_cross_check_transposed_instance():
     p = construct(GridDims(21, 20))                        # class (0,1) -> transposed
     cc = count_cross_check(p)
-    assert cc.transposed and cc.build_dims == GridDims(20, 21)
+    assert p.transposed and p.build_dims == GridDims(20, 21)
     assert cc.ok
+
+
+def test_provenance_is_derived_from_the_grid():
+    # a set made from construct's own arrays has construct's provenance, and
+    # so cross-checks in the same orientation, on every class
+    for m, n in product(range(16, 21), repeat=2):
+        p = construct(GridDims(m, n))
+        q = PatternSet(p.dims, p.black_rc, p.white_rc)
+        assert (q.transposed, q.deviations, q.build_dims) == (
+            p.transposed, p.deviations, p.build_dims), (m, n)
+        assert count_cross_check(q).unexplained == (), (m, n)
+    # construct builds nothing below 16, so a small grid of a transposed
+    # class, like 6x5 in (0, 1), has no provenance
+    small = PatternSet(GridDims(6, 5), [(1, 1)], [])
+    assert (small.transposed, small.deviations, small.build_dims) == (False, (), small.dims)
 
 
 def test_env_ledger_override(monkeypatch, capsys):
@@ -150,8 +165,7 @@ def test_env_ledger_override(monkeypatch, capsys):
         p = construct(dims)
         members = set(p.black) | set(p.white)
         frame = [v for v in product((1,), range(1, dims.n + 1)) if v not in members]
-        return PatternSet(p.dims, p.black_rc, list(p.white) + frame[:k],
-                          p.deviations, p.transposed)
+        return PatternSet(p.dims, p.black_rc, list(p.white) + frame[:k])
 
     d = GridDims(16, 16)
     assert count_cross_check(with_whites(d, 1)).ok
