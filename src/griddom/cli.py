@@ -21,9 +21,10 @@ from .render import (document_dims, document_to_pattern, dumps_pattern,
 from .verify import corner_multiplicity_check, count_cross_check, verify_pattern
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-# Largest m*n that verify and construct --format ascii/svg accept, and largest
-# member count that construct --format json, crosscheck and bench accept: their
-# memory grows with it, so a larger grid is refused before anything is built.
+# Largest m*n that verify, sweep and construct --format ascii/svg accept, and
+# largest member count that construct --format json, crosscheck and bench
+# accept: their memory grows with it, so a larger grid is refused before
+# anything is built.
 MAX_CELLS = 25_000_000
 
 
@@ -157,6 +158,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     if min(m_range.start, n_range.start) < MIN_SIDE:
         raise ValueError(f"sweep ranges must start at {MIN_SIDE} or above")
+    _within_budget(GridDims(max(m_range), max(n_range)))
     all_ok = True
     try:
         fh = open(args.out, "w", newline="", encoding="utf-8")

@@ -135,7 +135,7 @@ def _entry(spec, blocks: int, side: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _lattice(dims: GridDims, edit: Mapping) -> np.ndarray:
-    """All black disks as a row-major int32 (k, 2) array (direct orientation).
+    """All black disks as a row-major int32 (k, 2) array.
 
     Row p holds the columns congruent to row_offset(a1, p) mod 5 in [3, n-2]
     for p = 1, in [1, n] for the middle rows and in [lo, n-2] for p = m,
@@ -172,12 +172,12 @@ def _lattice(dims: GridDims, edit: Mapping) -> np.ndarray:
 
 def build(dims: GridDims, edit: Mapping) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Black disks and white squares of the case tables for dims, with one
-    class's ledger edit applied (direct orientation, m, n >= 16).
+    class's ledger edit applied (m, n >= 16).
 
     Returns the disks as a row-major int32 (k, 2) array and the whites as
     unsorted (row, col) pairs. build(dims, {}) is the paper's baseline, which
     the ledger's counterexamples replay. The edit keys are described on
-    deviations.DeviationEntry; "transpose" is construct()'s to apply.
+    deviations.DeviationEntry.
 
     Table entries may reach past the grid: column 5S+4 of class (0,4)'s last
     row denotes no vertex and is dropped (ledger DEV-CLIP-04).
@@ -235,15 +235,13 @@ class PatternSet:
     arrays of 1-based (row, col) pairs. Any (k, 2) integer array-like is
     accepted and sorted; out-of-bounds members, duplicates and black/white
     overlap raise ValueError when the set is created. black, white and tags
-    are views built on demand. Instances compare by identity. deviations and
-    transposed are the grid class's (deviations.class_edit), never stored;
-    grids below MIN_SIDE have none.
+    are views built on demand. Instances compare by identity. deviations are
+    the grid class's ledger ids (deviations.class_edit), never stored; grids
+    below MIN_SIDE have none.
 
     tags maps the provenance groups F/M/L (disks in first, middle, last
     rows) and FR/FC/LC/LR (whites on the first row, first column, last
-    column, last row) to row-major member tuples. For a transposed class the
-    tags keep their build-orientation meaning, so e.g. "F" is the final
-    grid's first column.
+    column, last row) to row-major member tuples.
     """
 
     dims: GridDims
@@ -277,38 +275,25 @@ class PatternSet:
         return len(self.black_rc) + len(self.white_rc)
 
     @property
-    def _ledger(self) -> tuple[tuple[str, ...], Mapping]:
-        small = min(self.dims.m, self.dims.n) < MIN_SIDE
-        return ((), {}) if small else class_edit(pattern_class(self.dims))
-
-    @property
     def deviations(self) -> tuple[str, ...]:
-        return self._ledger[0]
-
-    @property
-    def transposed(self) -> bool:
-        return self._ledger[1].get("transpose", False)
-
-    @property
-    def build_dims(self) -> GridDims:
-        """Dimensions in the orientation the case tables were applied."""
-        return self.dims.transposed if self.transposed else self.dims
+        if min(self.dims.m, self.dims.n) < MIN_SIDE:
+            return ()
+        return class_edit(pattern_class(self.dims))[0]
 
     @property
     def tags(self) -> dict[str, tuple[Vertex, ...]]:
-        """Provenance groups, read off the build-orientation row and column."""
-        m, n = self.build_dims.m, self.build_dims.n
-        row, col = (1, 0) if self.transposed else (0, 1)
+        """Provenance groups, read off each member's row and column."""
+        m, n = self.dims.m, self.dims.n
         b, w = self.black_rc, self.white_rc
-        brow = b[:, row]
+        brow, wrow, wcol = b[:, 0], w[:, 0], w[:, 1]
         return {
             "F": _vertices(b[brow == 1]),
             "M": _vertices(b[(brow > 1) & (brow < m)]),
             "L": _vertices(b[brow == m]),
-            "FR": _vertices(w[w[:, row] == 1]),
-            "FC": _vertices(w[w[:, col] == 1]),
-            "LC": _vertices(w[w[:, col] == n]),
-            "LR": _vertices(w[w[:, row] == m]),
+            "FR": _vertices(w[wrow == 1]),
+            "FC": _vertices(w[wcol == 1]),
+            "LC": _vertices(w[wcol == n]),
+            "LR": _vertices(w[wrow == m]),
         }
 
 
@@ -316,17 +301,10 @@ def construct(dims: GridDims) -> PatternSet:
     """Build a minimum dominating set for dims.
 
     The class's ledger records (deviations.class_edit) state what changes
-    from the paper's tables. A class whose records transpose is built with
-    its mirror class's edit on the transposed grid and flipped back. For
-    every class the result dominates, is a [1,2]-set, covers the sub-grid
-    exactly once and has size gamma_formula(dims).
+    from the paper's tables. For every class the result dominates, is a
+    [1,2]-set, covers the sub-grid exactly once and has size
+    gamma_formula(dims).
     """
-    _check_dims(dims)
-    edit = class_edit(pattern_class(dims))[1]
-    transposed = edit.get("transpose", False)
-    black, white = build(dims.transposed if transposed else dims, edit)
-    if transposed:
-        # PatternSet re-sorts the swapped black columns into row-major order
-        black, white = black[:, ::-1], [(c, r) for r, c in white]
+    black, white = build(dims, class_edit(pattern_class(dims))[1])
     # the frame is small: sorting it here spares PatternSet its numpy sort
     return PatternSet(dims, black, sorted(white))

@@ -1,8 +1,9 @@
 """Machine-readable deviation ledger.
 
 Every divergence between the paper's case tables bundled in
-griddom.construction and what construct() actually emits is recorded here,
-each justified by a verifier counterexample or an exhaustive-search bound.
+griddom.construction and what construct() actually emits is recorded here.
+Each table correction carries a counterexample that the test suite replays
+against the uncorrected tables.
 An entry's `edit` is the machine-readable form of its `corrected` text and
 the one statement of what a class changes: construct() applies the merged
 edits that class_edit() returns. An entry's `table_cells` are the
@@ -21,7 +22,7 @@ class TableCell:
     """A cell of the bundled count tables this entry is expected to perturb.
 
     table is "first" / "middle" / "last" (black disks per block) or "white"
-    (white-square total), keyed by the build orientation's residues.
+    (white-square total), keyed by the class (n mod 5, m mod 5).
     """
 
     table: str
@@ -35,16 +36,15 @@ class DeviationEntry:
     """One ledger record.
 
     edit is what construct() applies for the listed classes, None for an
-    entry it does not apply (count-table errata, DEV-CLIP-04). Its keys are
-    transpose (build on the transposed grid, as the mirror class), offset
-    (the diagonal offset a_1), last_row_from (first column of the last-row
+    entry it does not apply (count-table errata). Its keys are offset (the
+    diagonal offset a_1), last_row_from (first column of the last-row
     disk range), first_row / first_col / last_col / last_row (a table entry
     (k, i, dj, extras) replacing the paper's) and remove (disks to drop).
     Extras and cells read a value e <= 0 as side + e.
     """
 
     id: str
-    kind: str                      # reading-correction | table-correction | orientation | table-errata
+    kind: str                      # reading-correction | table-correction | table-errata
     classes: tuple[tuple[int, int], ...]   # (n mod 5, m mod 5) keys affected
     target: str
     baseline: str
@@ -185,45 +185,29 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         baseline="offset a_1 = 3 with the bundled frame tables",
         corrected="offset a_1 = 4; first row A_2^(1,S); first column "
                   "A_4^(1,T-1)+{2}; last column A_2^(1,T); last row A_4^(1,S-1)+{2}",
-        rationale="exhaustive search over every frame-white arrangement (and "
-                  "every optional corner disk) shows offset 3 cannot reach "
-                  "the optimal size; offset 4 reaches it with the tables above.",
-        counterexample={"m": 18, "n": 18, "baseline_minimum": 77, "optimal": 76},
+        rationale="the baseline is dominating and a [1,2]-set but one member "
+                  "over optimal. Offset 4 with the tables above is one valid "
+                  "repair; offset 3 without the disk (m-1, 1) and with last "
+                  "column A_2^(0,T-1) is another.",
+        counterexample={"m": 18, "n": 18, "baseline_cardinality": 77,
+                        "optimal": 76},
         table_cells=(TableCell("first", 3, 3, -1), TableCell("white", 3, 3, +1)),
         edit={"offset": 4, "first_row": (2, 1, 0, ()), "first_col": (4, 1, -1, (2,)),
               "last_col": (2, 1, 0, ()), "last_row": (4, 1, -1, (2,))},
     ),
     DeviationEntry(
-        id="DEV-ORIENT",
-        kind="orientation",
-        classes=((0, 1), (0, 3), (0, 4), (1, 2), (4, 1), (4, 2)),
-        target="build orientation for six residue classes",
-        baseline="tables applied to (m, n) as given",
-        corrected="pattern built on the transposed grid and flipped back",
-        rationale="for these classes exhaustive search proves the direct "
-                  "tables cannot reach the optimal size (minimum is optimal+1) "
-                  "while the mirrored class reaches it exactly.",
-        counterexample={"examples": [
-            {"class": [0, 1], "m": 16, "n": 20, "direct_minimum": 76, "optimal": 75},
-            {"class": [0, 3], "m": 18, "n": 20, "direct_minimum": 85, "optimal": 84},
-            {"class": [0, 4], "m": 19, "n": 20, "direct_minimum": 89, "optimal": 88},
-            {"class": [1, 2], "m": 17, "n": 16, "direct_minimum": 65, "optimal": 64},
-            {"class": [4, 1], "m": 16, "n": 19, "direct_minimum": 72, "optimal": 71},
-            {"class": [4, 2], "m": 17, "n": 19, "direct_minimum": 76, "optimal": 75},
-        ]},
-        edit={"transpose": True},
-    ),
-    DeviationEntry(
         id="DEV-CLIP-04",
         kind="table-correction",
         classes=((0, 4),),
-        target="last-row whites, class n=5k / m=5l+4 (direct tables only)",
+        target="last-row whites, class n=5k / m=5l+4",
         baseline="A_4^(1,S) + {3}: the top element 5S+4 exceeds n = 5S",
         corrected="out-of-range entries denote no vertex and are dropped",
-        rationale="column 5S+4 does not exist on the grid; construct() builds "
-                  "this class transposed, so the clip only affects direct "
-                  "table queries.",
+        rationale="column 5S+4 does not exist on the grid; build() drops it, "
+                  "so the class has one white fewer than the count table "
+                  "prints.",
         counterexample={"m": 19, "n": 20, "out_of_range_column": 24},
+        table_cells=(TableCell("white", 0, 4, +1),),
+        edit={},
     ),
     DeviationEntry(
         id="DEV-FIX-00",
@@ -246,40 +230,95 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
     DeviationEntry(
         id="DEV-FIX-02",
         kind="table-correction",
-        classes=((0, 2),),
-        target="last-column border disk, class n=5k / m=5l+2",
+        classes=((0, 2), (0, 3), (0, 4)),
+        target="last-column border disk, class n=5k / m=5l+2, 5l+3, 5l+4",
         baseline="middle-row disk at (2, n)",
         corrected="drop the disk (2, n)",
         rationale="the baseline is one member over optimal; every cell the "
-                  "disk (2, n) covers is covered by another member.",
+                  "disk (2, n) covers is covered by another member. The "
+                  "same holds at 18x20 (85 for 84) and 19x20 (89 for 88). "
+                  "Class (0,3)'s white tables emit one white more than its "
+                  "count-table cell.",
         counterexample={"m": 17, "n": 20, "baseline_cardinality": 80,
                         "optimal": 79},
+        table_cells=(TableCell("white", 0, 3, -1),),
         edit={"remove": ((2, 0),)},
     ),
     DeviationEntry(
         id="DEV-FIX-20",
         kind="table-correction",
-        classes=((2, 0),),
-        target="first-column border disk, class n=5k+2 / m=5l",
+        classes=((2, 0), (4, 1)),
+        target="first-column border disk, class n=5k+2 / m=5l and n=5k+4 / m=5l+1",
         baseline="middle-row disk at (m-1, 1)",
         corrected="drop the disk (m-1, 1)",
         rationale="the baseline is one member over optimal; every cell the "
-                  "disk (m-1, 1) covers is covered by another member.",
+                  "disk (m-1, 1) covers is covered by another member. The "
+                  "same holds at 16x19 (72 for 71).",
         counterexample={"m": 20, "n": 17, "baseline_cardinality": 80,
                         "optimal": 79},
+        table_cells=(TableCell("middle", 4, 1, +1),),
         edit={"remove": ((-1, 1),)},
+    ),
+    DeviationEntry(
+        id="DEV-FIX-01",
+        kind="table-correction",
+        classes=((0, 1),),
+        target="last-column border disk and last-row whites, class n=5k / m=5l+1",
+        baseline="middle-row disk at (2, n); last row A_0^(1,S-1)",
+        corrected="drop the disk (2, n); last row A_0^(1,S-1) + {2}",
+        rationale="(m-1, 2) and (m, 1..3) are uncovered; the white (m, 2) "
+                  "covers all four, and the disk (2, n) is redundant.",
+        counterexample={"m": 16, "n": 20,
+                        "undominated": [[15, 2], [16, 1], [16, 2], [16, 3]]},
+        table_cells=(TableCell("last", 0, 1, +1), TableCell("white", 0, 1, -1)),
+        edit={"remove": ((2, 0),), "last_row": (0, 1, -1, (2,))},
+    ),
+    DeviationEntry(
+        id="DEV-FIX-12",
+        kind="table-correction",
+        classes=((1, 2),),
+        target="border disks and last-column whites, class n=5k+1 / m=5l+2",
+        baseline="disks (m-1, 1) and (m-1, n); last column A_3^(1,T-2) + {2}",
+        corrected="drop the disks (m-1, 1) and (m-1, n); last column "
+                  "A_3^(1,T-1) + {2, m-1}",
+        rationale="(m-4, n) is uncovered. The whites (m-4, n) and (m-1, n) "
+                  "take the place of the disks (m-1, 1) and (m-1, n), so "
+                  "every cell is covered at the optimal size.",
+        counterexample={"m": 17, "n": 16, "undominated": [[13, 16]]},
+        table_cells=(TableCell("last", 1, 2, +1), TableCell("white", 1, 2, -2)),
+        edit={"remove": ((-1, 1), (-1, 0)), "last_col": (3, 1, -1, (2, -1))},
+    ),
+    DeviationEntry(
+        id="DEV-FIX-42",
+        kind="table-correction",
+        classes=((4, 2),),
+        target="diagonal offset, border disks and all frame whites, "
+               "class n=5k+4 / m=5l+2",
+        baseline="offset a_1 = 4 with the bundled frame tables",
+        corrected="offset a_1 = 1 without the disks (2, n) and (m-1, 1); "
+                  "first and last row A_2^(0,S-1)+{n-1}; first and last "
+                  "column A_3^(0,T-2)+{m-2}",
+        rationale="at offset 4, (m-1, 2) and (m, 1..3) are uncovered; offset "
+                  "1 with the tables above covers every cell at the optimal "
+                  "size.",
+        counterexample={"m": 17, "n": 19,
+                        "undominated": [[16, 2], [17, 1], [17, 2], [17, 3]]},
+        table_cells=(TableCell("first", 4, 2, +1), TableCell("white", 4, 2, -2),
+                     TableCell("last", 4, 2, +1)),
+        edit={"offset": 1, "remove": ((2, 0), (-1, 1)),
+              "first_row": (2, 0, -1, (-1,)), "first_col": (3, 0, -2, (-2,)),
+              "last_col": (3, 0, -2, (-2,)), "last_row": (2, 0, -1, (-1,))},
     ),
     DeviationEntry(
         id="DEV-T2-MID-N1",
         kind="table-errata",
-        classes=((1, 0), (1, 1), (1, 3), (1, 4)),
+        classes=tuple((1, rm) for rm in range(5)),
         target="black-disk count table, middle blocks, n = 5k+1",
         baseline="5S+11",
         corrected="5S+1 (every full middle block holds exactly n disks)",
         rationale="five consecutive full rows hit each column residue once, "
                   "so a middle block always holds n = 5S+1 disks.",
-        # every build class with n = 5k+1: class (1,2) is built transposed
-        table_cells=tuple(TableCell("middle", 1, rm, +10) for rm in (0, 1, 3, 4)),
+        table_cells=tuple(TableCell("middle", 1, rm, +10) for rm in range(5)),
     ),
     DeviationEntry(
         id="DEV-T2-LAST-M0",
@@ -321,12 +360,8 @@ BY_ID: Mapping[str, DeviationEntry] = MappingProxyType({e.id: e for e in DEVIATI
 @cache
 def class_edit(cls: tuple[int, int]) -> tuple[tuple[str, ...], Mapping]:
     """Ids of the entries construct() applies to class (n mod 5, m mod 5),
-    and their edits merged into one read-only map. A class that transposes
-    is built as its mirror (m mod 5, n mod 5) and takes its entries too."""
+    and their edits merged into one read-only map."""
     entries = [e for e in DEVIATIONS if e.edit is not None and cls in e.classes]
-    if any(e.edit.get("transpose") for e in entries):
-        entries += [e for e in DEVIATIONS if e.edit is not None
-                    and cls[::-1] in e.classes and e not in entries]
     edit = {}
     for e in entries:
         edit.update(e.edit)

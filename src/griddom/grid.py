@@ -27,10 +27,6 @@ class GridDims:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.m}x{self.n}")
 
-    @property
-    def transposed(self) -> "GridDims":
-        return GridDims(self.n, self.m)
-
 
 def coordinate_array(members, dims: GridDims) -> np.ndarray:
     """Members as a (k, 2) integer array of 1-based (row, col) pairs.

@@ -110,7 +110,6 @@ def _document(p: PatternSet, version: int, lists) -> dict:
         "white": lists(p.white_rc),
         "gamma": gamma_formula(p.dims) if min(p.dims.m, p.dims.n) >= MIN_SIDE else None,
         "deviations": list(p.deviations),
-        "transposed": p.transposed,
     }
 
 
@@ -221,8 +220,8 @@ def document_to_pattern(doc: dict) -> PatternSet:
     booleans). Every run must lie on the grid and all runs together may hold
     at most m*n members; both are checked before any run is expanded.
     Duplicates, black/white overlap and out-of-bounds members are rejected.
-    "gamma", "deviations" and "transposed" are written for readers and never
-    read: the pattern derives them from m and n.
+    "gamma" and "deviations" are written for readers and never read: the
+    pattern derives them from m and n. Other keys are ignored.
     """
     dims = document_dims(doc)
     version = doc.get("schema_version")

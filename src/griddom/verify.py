@@ -323,17 +323,16 @@ def count_cross_check(p: PatternSet) -> CountCrossCheck:
     """Compare per-block disk counts and the white total with the bundled
     count tables.
 
-    Evaluated in the orientation the tables were applied (p.build_dims);
-    mismatches are annotated with the ledger entry that predicts them, and
+    Mismatches are annotated with the ledger entry that predicts them, and
     anything unexplained is exposed via .unexplained.
     """
     expected_mis = expected_table_mismatches()
-    m, n = p.build_dims.m, p.build_dims.n
+    m, n = p.dims.m, p.dims.n
     S, T = n // 5, m // 5
     rn, rm = n % 5, m % 5
-    build_rows = p.black_rc[:, 1 if p.transposed else 0]
-    # below[r] = disks in build rows < r
-    below = np.concatenate(([0], np.cumsum(np.bincount(build_rows, minlength=m + 1)))).tolist()
+    # below[r] = disks in rows < r
+    per_row = np.bincount(p.black_rc[:, 0], minlength=m + 1)
+    below = np.concatenate(([0], np.cumsum(per_row))).tolist()
     def block_sum(lo, hi):
         return below[hi + 1] - below[lo]
     rows: list[CountRow] = []

@@ -15,7 +15,7 @@ import pytest
 
 from griddom import (GridDims, construct, count_cross_check,
                      exact_gamma_bruteforce, exact_gamma_dp, gamma_formula,
-                     verify_pattern)
+                     pattern_class, verify_pattern)
 from griddom.cli import bench_row
 from griddom.deviations import expected_table_mismatches
 
@@ -172,7 +172,7 @@ def test_criterion_8_table_cross_checks():
             p = construct(GridDims(m, n))
             cc = count_cross_check(p)
             unexplained.extend((m, n, r) for r in cc.unexplained)
-            rn, rm = p.build_dims.n % 5, p.build_dims.m % 5
+            rn, rm = pattern_class(p.dims)
             for r in cc.rows:
                 if not r.matches:
                     assert r.ledger_id is not None

@@ -133,9 +133,9 @@ def test_construct_black_white_disjoint_and_tagged():
 
 
 def test_construct_composes_the_operations():
-    # a direct build is build(dims, edit) for its class's ledger edit, and
-    # the ids of the records that state it; a class that no correction
-    # names, like (2,2), is the paper's baseline
+    # construct is build(dims, edit) for its class's ledger edit, and the
+    # ids of the records that state it; a class that no correction names,
+    # like (2,2), is the paper's baseline
     for dims in (GridDims(16, 16), GridDims(20, 20), GridDims(24, 23), GridDims(22, 22)):
         p = construct(dims)
         ids, edit = class_edit(pattern_class(dims))
@@ -154,26 +154,15 @@ def test_construct_composes_the_operations():
         build(d, {"remove": ((2, 1),)})
 
 
-def test_transposed_classes_flagged():
-    p = construct(GridDims(24, 20))       # class (0, 4) builds transposed
-    assert p.transposed
-    assert p.build_dims == GridDims(20, 24)
-    assert "DEV-ORIENT" in p.deviations
-    q = construct(GridDims(16, 16))
-    assert not q.transposed
-    assert "DEV-FIX-11" in q.deviations
-
-
-def test_transposed_build_equals_flipped_core():
-    for mn in [(24, 20), (17, 16), (31, 19), (18, 40)]:
-        dims = GridDims(*mn)
-        p = construct(dims)
-        assert p.transposed
-        core = construct(dims.transposed)
-        assert not core.transposed
-        flip = lambda vs: sorted(Vertex(c, r) for (r, c) in vs)
-        assert list(p.black) == flip(core.black)
-        assert list(p.white) == flip(core.white)
+def test_every_class_builds_direct():
+    # every grid is its class's tables on (m, n) itself, with its edit
+    for m in range(16, 41):
+        for n in range(16, 41):
+            dims = GridDims(m, n)
+            p = construct(dims)
+            black, white = build(dims, class_edit(pattern_class(dims))[1])
+            assert np.array_equal(p.black_rc, black), (m, n)
+            assert np.array_equal(p.white_rc, sorted(white)), (m, n)
 
 
 def _baseline(dims):
@@ -226,17 +215,12 @@ def test_construct_envelope(dims):
 
 
 def test_class_maps_are_consistent():
-    transposed = {cls for cls in CLASSES if class_edit(cls)[1].get("transpose")}
-    assert transposed == {(0, 1), (0, 3), (0, 4), (1, 2), (4, 1), (4, 2)}
-    assert transposed == set(BY_ID["DEV-ORIENT"].classes)
     assert {cls for cls in CLASSES if "last_row_from" in class_edit(cls)[1]} == {
-        (1, 3), (2, 1), (3, 4), (1, 2)}     # (1, 2) is built as (2, 1)
-    # a transposed class's mirror must not itself transpose
-    for (a, b) in transposed:
-        assert not class_edit((b, a))[1].get("transpose")
+        (1, 3), (2, 1), (3, 4)}
+    assert {cls for cls in CLASSES if "offset" in class_edit(cls)[1]} == {(3, 3), (4, 2)}
     # build reads only these keys, and no two records of a class set the
     # same one, so merging a class's records loses nothing
-    known = {"transpose", "offset", "last_row_from", "remove", *FRAME_KEYS}
+    known = {"offset", "last_row_from", "remove", *FRAME_KEYS}
     for cls in CLASSES:
         ids, edit = class_edit(cls)
         keys = [k for i in ids for k in BY_ID[i].edit]
@@ -251,8 +235,6 @@ def test_edge_row_disk_column_ranges():
         for n in range(16, 36):
             dims = GridDims(m, n)
             p = construct(dims)
-            if p.transposed:
-                continue
             first = [c for r, c in p.tags["F"]]
             last = [c for r, c in p.tags["L"]]
             assert all(3 <= c <= n - 2 for c in first), (m, n)
@@ -263,7 +245,7 @@ def test_edge_row_disk_column_ranges():
 
 
 def test_pattern_arrays_are_row_major_int32_and_read_only():
-    for dims in (GridDims(16, 16), GridDims(24, 20)):   # direct and transposed
+    for dims in (GridDims(16, 16), GridDims(24, 20)):   # classes (1,1) and (0,4)
         p = construct(dims)
         for rc, view in ((p.black_rc, p.black), (p.white_rc, p.white)):
             assert rc.dtype == np.int32 and rc.shape == (len(view), 2)

@@ -22,11 +22,14 @@ def test_deviation_ids_for_class():
     assert edit == {"last_row": (4, 1, -2, (3, -1))}
     with pytest.raises(TypeError):
         edit["offset"] = 4                # shared between calls: read-only
-    # a transposed class resolves to its mirror's records and edit
     ids, edit = class_edit((1, 2))
-    assert ids == ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-ORIENT", "DEV-FIX-21")
-    assert edit == {"transpose": True, "last_row_from": 2}
+    assert ids == ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-FIX-12")
+    assert edit == {"remove": ((-1, 1), (-1, 0)), "last_col": (3, 1, -1, (2, -1))}
     assert construct(GridDims(17, 16)).deviations == ids
+    # a record with an empty edit is listed for its class
+    assert class_edit((0, 4)) == (
+        ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-CLIP-04", "DEV-FIX-02"),
+        {"remove": ((2, 0),)})
     ids, edit = class_edit((0, 0))
     assert ids[-1] == "DEV-FIX-00" and edit["remove"] == ((2, 0), (-1, 1))
     # count-table errata are not construction records
@@ -56,24 +59,37 @@ def test_counterexamples_replay_against_baseline():
 
 
 def test_corner_fix_counterexamples_replay():
-    # the baseline of these three classes is a dominating [1,2]-set that is
-    # too large; the ledger edit makes it optimal
-    for dev_id, excess in (("DEV-FIX-00", 2), ("DEV-FIX-02", 1), ("DEV-FIX-20", 1)):
-        ce = BY_ID[dev_id].counterexample
-        dims = GridDims(ce["m"], ce["n"])
+    # the baseline of these classes is a dominating [1,2]-set that is too
+    # large; the ledger edit makes it optimal. The grids after each record's
+    # own counterexample are the other classes that share its edit.
+    for dev_id, (m, n), excess in (
+            ("DEV-FIX-00", (20, 20), 2), ("DEV-FIX-02", (17, 20), 1),
+            ("DEV-FIX-02", (18, 20), 1), ("DEV-FIX-02", (19, 20), 1),
+            ("DEV-FIX-20", (20, 17), 1), ("DEV-FIX-20", (16, 19), 1),
+            ("DEV-FIX-33", (18, 18), 1)):
+        dims = GridDims(m, n)
         v = verify_pattern(PatternSet(dims, *build(dims, {})))
-        assert v.check("one_two").passed and v.check("interior_unique").passed
-        assert v.cardinality == ce["baseline_cardinality"] == ce["optimal"] + excess
+        assert all(v.check(name).passed
+                   for name in ("dominating", "one_two", "interior_unique")), dev_id
+        assert v.cardinality == gamma_formula(dims) + excess, dev_id
         p = construct(dims)
         assert dev_id in p.deviations
-        assert p.cardinality == ce["optimal"] and verify_pattern(p).ok
+        assert p.cardinality == gamma_formula(dims) and verify_pattern(p).ok
+
+
+def test_fix_33_has_a_repair_at_the_paper_offset():
+    # DEV-FIX-33's rationale: offset 4 is one valid repair, not the only one
+    edit = {"remove": ((-1, 1),), "last_col": (2, 0, -1, ())}
+    for m, n in ((18, 18), (23, 28), (33, 23)):
+        dims = GridDims(m, n)
+        p = PatternSet(dims, *build(dims, edit))
+        assert verify_pattern(p).ok, (m, n)
 
 
 def test_expected_mismatch_lookup_shapes():
     table = expected_table_mismatches()
-    # one key per build class: (1, 2) is built transposed, so never looked up
     assert {k for k in table if k[:2] == ("middle", 1)} == {
-        ("middle", 1, rm) for rm in (0, 1, 3, 4)}
+        ("middle", 1, rm) for rm in range(5)}
     assert table[("white", 1, 1)] == (1, "DEV-FIX-11")
     # the cached map is shared between calls, so it is read-only
     with pytest.raises(TypeError):

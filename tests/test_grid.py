@@ -40,7 +40,6 @@ def test_dims_validation():
         GridDims(0, 5)
     with pytest.raises(ValueError):
         GridDims(5, -1)
-    assert GridDims(17, 23).transposed == GridDims(23, 17)
 
 
 def test_neighbors_corner_edge_interior():

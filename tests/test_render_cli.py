@@ -108,28 +108,30 @@ def test_document_round_trip():
 
 
 def test_document_round_trip_keeps_orientation():
-    p = construct(GridDims(21, 25))          # class (0, 1) builds transposed
-    assert p.transposed
+    p = construct(GridDims(21, 25))          # class (0, 1), ledgered by DEV-FIX-01
     q = document_to_pattern(json.loads(dumps_document(pattern_to_document(p))))
-    assert q.transposed
+    assert np.array_equal(q.black_rc, p.black_rc)
+    assert np.array_equal(q.white_rc, p.white_rc)
+    assert q.deviations == p.deviations and "DEV-FIX-01" in q.deviations
     assert count_cross_check(p).unexplained == ()
     assert count_cross_check(q).unexplained == ()
 
 
-# 21x25 and 16x20 are built transposed, 20x21 directly
+# classes (0,1), (0,1) and (1,0); documents written before every class was
+# built direct carry a "transposed" key, which is ignored like any other
 @pytest.mark.parametrize("mn", [(21, 25), (16, 20), (20, 21)], ids=["21x25", "16x20", "20x21"])
 @pytest.mark.parametrize("provenance", [
     {}, {"transposed": True, "deviations": []},
     {"transposed": False, "deviations": ["DEV-X"]}, {"transposed": None, "deviations": 5},
 ], ids=["removed", "true", "false", "malformed"])
 def test_document_provenance_comes_from_the_grid(mn, provenance):
-    # transposed and deviations are written for readers; the parsed pattern
-    # takes its provenance from m and n, whatever the text says
+    # deviations are written for readers; the parsed pattern takes its
+    # provenance from m and n, whatever the text says
     p = construct(GridDims(*mn))
     doc = json.loads(dumps_pattern(p))
-    del doc["transposed"], doc["deviations"]
+    del doc["deviations"]
     q = document_to_pattern(dict(doc, **provenance))
-    assert (q.transposed, q.deviations) == (p.transposed, p.deviations)
+    assert q.deviations == p.deviations
     assert count_cross_check(q).unexplained == ()
 
 
@@ -271,6 +273,18 @@ def test_cli_sweep_range_guard(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["sweep", "--m-range", "18:16", "--n-range", "16:18",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_cli_sweep_refuses_grids_over_the_cell_budget(tmp_path, capsys, monkeypatch):
+    # every grid is verified, so the largest must fit the budget before the
+    # CSV is opened
+    monkeypatch.setattr(cli, "MAX_CELLS", 20 * 20)
+    out = tmp_path / "big.csv"
+    assert main(["sweep", "--m-range", "16:20", "--n-range", "16:21",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "20x21 grid has 420 cells" in capsys.readouterr().err
+    assert main(["sweep", "--m-range", "20", "--n-range", "20", "--out", str(out)]) == 0
 
 
 def test_cli_bench(capsys):
@@ -446,7 +460,6 @@ def test_schema_2_runs_expand_to_their_members():
     assert p.white == ((16, 16),)
     # provenance is the grid's class (1, 1), whatever the members
     assert p.deviations == ("DEV-DM-RANGE", "DEV-DL-OFFSET", "DEV-FIX-11")
-    assert p.transposed is False
 
 
 @pytest.mark.parametrize("black, match", [
@@ -501,4 +514,4 @@ def test_document_text_grows_with_the_perimeter(mn, limit):
     q = document_to_pattern(json.loads(text))
     assert np.array_equal(q.black_rc, p.black_rc)
     assert np.array_equal(q.white_rc, p.white_rc)
-    assert (q.transposed, q.deviations) == (p.transposed, p.deviations)
+    assert q.deviations == p.deviations

@@ -134,26 +134,17 @@ def test_count_cross_check_direct_core_20x21():
     assert cc.ok
 
 
-def test_count_cross_check_transposed_instance():
-    p = construct(GridDims(21, 20))                        # class (0,1) -> transposed
-    cc = count_cross_check(p)
-    assert p.transposed and p.build_dims == GridDims(20, 21)
-    assert cc.ok
-
-
 def test_provenance_is_derived_from_the_grid():
     # a set made from construct's own arrays has construct's provenance, and
-    # so cross-checks in the same orientation, on every class
+    # so cross-checks the same way, on every class
     for m, n in product(range(16, 21), repeat=2):
         p = construct(GridDims(m, n))
         q = PatternSet(p.dims, p.black_rc, p.white_rc)
-        assert (q.transposed, q.deviations, q.build_dims) == (
-            p.transposed, p.deviations, p.build_dims), (m, n)
+        assert q.deviations == p.deviations, (m, n)
         assert count_cross_check(q).unexplained == (), (m, n)
-    # construct builds nothing below 16, so a small grid of a transposed
-    # class, like 6x5 in (0, 1), has no provenance
-    small = PatternSet(GridDims(6, 5), [(1, 1)], [])
-    assert (small.transposed, small.deviations, small.build_dims) == (False, (), small.dims)
+    # construct builds nothing below 16, so a small grid, like 6x5 in class
+    # (0, 1), has no provenance
+    assert PatternSet(GridDims(6, 5), [(1, 1)], []).deviations == ()
 
 
 def test_env_ledger_override(monkeypatch, capsys):
@@ -201,7 +192,7 @@ def test_transposing_preserves_domination(dims):
     p = construct(dims)
     members = set(p.black) | set(p.white)
     flipped = {Vertex(c, r) for (r, c) in members}
-    assert coverage_map(dims.transposed, flipped).is_dominating
+    assert coverage_map(GridDims(dims.n, dims.m), flipped).is_dominating
 
 
 def test_coverage_deterministic():
