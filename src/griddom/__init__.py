@@ -9,10 +9,8 @@ from .construction import (
     MIN_SIDE,
     PatternSet,
     construct,
-    first_column_offset,
     gamma_formula,
     pattern_class,
-    row_offset,
 )
 from .deviations import DEVIATIONS, load_ledger
 from .grid import (
@@ -40,7 +38,6 @@ from .verify import (
     corner_multiplicity_check,
     count_cross_check,
     coverage_map,
-    interior_unique_coverage,
     verify_pattern,
 )
 
@@ -65,15 +62,12 @@ __all__ = [
     "dumps_document",
     "exact_gamma_bruteforce",
     "exact_gamma_dp",
-    "first_column_offset",
     "gamma_formula",
-    "interior_unique_coverage",
     "load_ledger",
     "pattern_class",
     "pattern_to_document",
     "render_ascii",
     "render_svg",
     "residue_class",
-    "row_offset",
     "verify_pattern",
 ]

@@ -38,20 +38,6 @@ def pattern_class(dims: GridDims) -> tuple[int, int]:
     return (dims.n % 5, dims.m % 5)
 
 
-def first_column_offset(n: int) -> int:
-    """Column offset of the first black disk in row 1: 2 if 5 | n, else n mod 5."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return 2 if n % 5 == 0 else n % 5
-
-
-def row_offset(a1: int, p: int) -> int:
-    """Column offset of the black disks in row p: (a1 + 3(p-1)) mod 5."""
-    if p < 1:
-        raise ValueError(f"row index must be >= 1, got {p}")
-    return (a1 + 3 * (p - 1)) % 5
-
-
 def gamma_formula(dims: GridDims) -> int:
     """Optimal domination number floor((m+2)(n+2)/5) - 4, valid for m, n >= 16."""
     if min(dims.m, dims.n) < MIN_SIDE:
@@ -137,19 +123,21 @@ def _entry(spec, blocks: int, side: int) -> list[int]:
 def _lattice(dims: GridDims, edit: Mapping) -> np.ndarray:
     """All black disks as a row-major int32 (k, 2) array.
 
-    Row p holds the columns congruent to row_offset(a1, p) mod 5 in [3, n-2]
+    Row p holds the columns congruent to a1 + 3(p-1) mod 5 in [3, n-2]
     for p = 1, in [1, n] for the middle rows and in [lo, n-2] for p = m,
-    where lo is 3 unless the edit sets last_row_from. So every row is one
+    where a1 is the edit's offset (else the paper's first-row offset) and
+    lo is 3 unless the edit sets last_row_from. So every row is one
     range of step 5, and the middle rows repeat with period 5. Each disk the
     edit removes splits its row's range in two. The array is filled straight
     from those ranges.
     """
     m, n = dims.m, dims.n
-    a1 = edit.get("offset", first_column_offset(n))
+    # a1 is the paper's first-row offset: n mod 5, or 2 when 5 divides n
+    a1 = edit.get("offset", n % 5 or 2)
 
     def row(p, lo, hi):
         """(first column, end of the column range) of row p"""
-        first = lo + (row_offset(a1, p) - lo) % 5
+        first = lo + (a1 + 3 * (p - 1) - lo) % 5
         return first, first + 5 * ((hi - first) // 5 + 1)
 
     middle = [row(p, 1, n) for p in range(2, 7)]

@@ -2,8 +2,8 @@
 
 Every divergence between the paper's case tables bundled in
 griddom.construction and what construct() actually emits is recorded here.
-Each table correction carries a counterexample that the test suite replays
-against the uncorrected tables.
+Each table correction carries counterexamples, one grid per class it
+covers, that the test suite replays against the uncorrected tables.
 An entry's `edit` is the machine-readable form of its `corrected` text and
 the one statement of what a class changes: construct() applies the merged
 edits that class_edit() returns. An entry's `table_cells` are the
@@ -50,7 +50,7 @@ class DeviationEntry:
     baseline: str
     corrected: str
     rationale: str
-    counterexample: dict | None = None
+    counterexamples: tuple[dict, ...] = ()
     table_cells: tuple[TableCell, ...] = field(default_factory=tuple)
     edit: dict | None = None
 
@@ -87,8 +87,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="A_4^(1,S-2) + {3, n-1}",
         rationale="(m, n-2) is redundant: (m, n-1) already covers it, and "
                   "keeping it makes the pattern one larger than optimal.",
-        counterexample={"m": 16, "n": 16, "baseline_cardinality": 61,
-                        "optimal": 60},
+        counterexamples=({"m": 16, "n": 16, "baseline_cardinality": 61,
+                          "optimal": 60},),
         table_cells=(TableCell("white", 1, 1, +1),),
         edit={"last_row": (4, 1, -2, (3, -1))},
     ),
@@ -101,9 +101,9 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="last column A_3^(1,T-1) + {2}; last-row disks from column 2",
         rationale="(m-5, n) and the bottom-left cells (m-1,2), (m,1..3) are "
                   "uncovered and the pattern is two members short.",
-        counterexample={"m": 18, "n": 16,
-                        "undominated": [[13, 16], [17, 2], [18, 1], [18, 2], [18, 3]],
-                        "baseline_cardinality": 66, "optimal": 68},
+        counterexamples=({"m": 18, "n": 16,
+                          "undominated": [[13, 16], [17, 2], [18, 1], [18, 2], [18, 3]],
+                          "baseline_cardinality": 66, "optimal": 68},),
         table_cells=(TableCell("white", 1, 3, -1),),
         edit={"last_col": (3, 1, -1, (2,)), "last_row_from": 2},
     ),
@@ -116,7 +116,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="A_3^(1,T-1) + {2, m-1}",
         rationale="with the extra at row m-2 both (m, n) and the near-corner "
                   "(m-1, n-1) stay undominated; row m-1 covers both.",
-        counterexample={"m": 19, "n": 16, "undominated": [[18, 15], [19, 16]]},
+        counterexamples=({"m": 19, "n": 16, "undominated": [[18, 15], [19, 16]]},),
         edit={"last_col": (3, 1, -1, (2, -1))},
     ),
     DeviationEntry(
@@ -128,9 +128,9 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="columns congruent to a_m in [2, n-2] (adds the disk (m, 2))",
         rationale="(m-1,2), (m,1), (m,2), (m,3) are uncovered and the pattern "
                   "is one short; the single disk at (m, 2) fixes all four.",
-        counterexample={"m": 16, "n": 17,
-                        "undominated": [[15, 2], [16, 1], [16, 2], [16, 3]],
-                        "baseline_cardinality": 63, "optimal": 64},
+        counterexamples=({"m": 16, "n": 17,
+                          "undominated": [[15, 2], [16, 1], [16, 2], [16, 3]],
+                          "baseline_cardinality": 63, "optimal": 64},),
         edit={"last_row_from": 2},
     ),
     DeviationEntry(
@@ -142,8 +142,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="A_2^(0,T) (adds (m-1, 1))",
         rationale="(m-1, 1) and (m, 1) are uncovered and the pattern is one "
                   "short; the added white covers both.",
-        counterexample={"m": 18, "n": 17, "undominated": [[17, 1], [18, 1]],
-                        "baseline_cardinality": 71, "optimal": 72},
+        counterexamples=({"m": 18, "n": 17, "undominated": [[17, 1], [18, 1]],
+                          "baseline_cardinality": 71, "optimal": 72},),
         table_cells=(TableCell("white", 2, 3, -1),),
         edit={"first_col": (2, 0, 0, ())},
     ),
@@ -156,9 +156,9 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="columns congruent to a_m in [2, n-2] (adds the disk (m, 2))",
         rationale="same bottom-left gap as class (2,1): four uncovered cells, "
                   "one member short, fixed by the single disk (m, 2).",
-        counterexample={"m": 19, "n": 18,
-                        "undominated": [[18, 2], [19, 1], [19, 2], [19, 3]],
-                        "baseline_cardinality": 79, "optimal": 80},
+        counterexamples=({"m": 19, "n": 18,
+                          "undominated": [[18, 2], [19, 1], [19, 2], [19, 3]],
+                          "baseline_cardinality": 79, "optimal": 80},),
         edit={"last_row_from": 2},
     ),
     DeviationEntry(
@@ -171,9 +171,9 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         rationale="five cells around the bottom corners are uncovered and the "
                   "pattern is two short; the whites at (m-1, 1) and (m-1, n) "
                   "fix all of them.",
-        counterexample={"m": 19, "n": 19,
-                        "undominated": [[18, 1], [18, 18], [18, 19], [19, 1], [19, 19]],
-                        "baseline_cardinality": 82, "optimal": 84},
+        counterexamples=({"m": 19, "n": 19,
+                          "undominated": [[18, 1], [18, 18], [18, 19], [19, 1], [19, 19]],
+                          "baseline_cardinality": 82, "optimal": 84},),
         table_cells=(TableCell("white", 4, 4, -2),),
         edit={"first_col": (3, 1, -1, (2, -1)), "last_col": (3, 1, -1, (2, -1))},
     ),
@@ -189,8 +189,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
                   "over optimal. Offset 4 with the tables above is one valid "
                   "repair; offset 3 without the disk (m-1, 1) and with last "
                   "column A_2^(0,T-1) is another.",
-        counterexample={"m": 18, "n": 18, "baseline_cardinality": 77,
-                        "optimal": 76},
+        counterexamples=({"m": 18, "n": 18, "baseline_cardinality": 77,
+                          "optimal": 76},),
         table_cells=(TableCell("first", 3, 3, -1), TableCell("white", 3, 3, +1)),
         edit={"offset": 4, "first_row": (2, 1, 0, ()), "first_col": (4, 1, -1, (2,)),
               "last_col": (2, 1, 0, ()), "last_row": (4, 1, -1, (2,))},
@@ -205,7 +205,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         rationale="column 5S+4 does not exist on the grid; build() drops it, "
                   "so the class has one white fewer than the count table "
                   "prints.",
-        counterexample={"m": 19, "n": 20, "out_of_range_column": 24},
+        counterexamples=({"m": 19, "n": 20, "out_of_range_column": 24},),
         table_cells=(TableCell("white", 0, 4, +1),),
         edit={},
     ),
@@ -223,8 +223,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
                   "while moving the white (m-3, 1) to (m-2, 1) keeps every "
                   "cell covered. A black at (m-2, 1) would double-cover the "
                   "sub-grid cell (m-2, 2).",
-        counterexample={"m": 20, "n": 20, "baseline_cardinality": 94,
-                        "optimal": 92},
+        counterexamples=({"m": 20, "n": 20, "baseline_cardinality": 94,
+                          "optimal": 92},),
         edit={"remove": ((2, 0), (-1, 1)), "first_col": (2, 0, -2, (-2,))},
     ),
     DeviationEntry(
@@ -234,13 +234,13 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         target="last-column border disk, class n=5k / m=5l+2, 5l+3, 5l+4",
         baseline="middle-row disk at (2, n)",
         corrected="drop the disk (2, n)",
-        rationale="the baseline is one member over optimal; every cell the "
-                  "disk (2, n) covers is covered by another member. The "
-                  "same holds at 18x20 (85 for 84) and 19x20 (89 for 88). "
-                  "Class (0,3)'s white tables emit one white more than its "
-                  "count-table cell.",
-        counterexample={"m": 17, "n": 20, "baseline_cardinality": 80,
-                        "optimal": 79},
+        rationale="the baseline is one member over optimal in each class; "
+                  "every cell the disk (2, n) covers is covered by another "
+                  "member. Class (0,3)'s white tables emit one white more "
+                  "than its count-table cell.",
+        counterexamples=({"m": 17, "n": 20, "baseline_cardinality": 80, "optimal": 79},
+                         {"m": 18, "n": 20, "baseline_cardinality": 85, "optimal": 84},
+                         {"m": 19, "n": 20, "baseline_cardinality": 89, "optimal": 88}),
         table_cells=(TableCell("white", 0, 3, -1),),
         edit={"remove": ((2, 0),)},
     ),
@@ -251,11 +251,11 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         target="first-column border disk, class n=5k+2 / m=5l and n=5k+4 / m=5l+1",
         baseline="middle-row disk at (m-1, 1)",
         corrected="drop the disk (m-1, 1)",
-        rationale="the baseline is one member over optimal; every cell the "
-                  "disk (m-1, 1) covers is covered by another member. The "
-                  "same holds at 16x19 (72 for 71).",
-        counterexample={"m": 20, "n": 17, "baseline_cardinality": 80,
-                        "optimal": 79},
+        rationale="the baseline is one member over optimal in each class; "
+                  "every cell the disk (m-1, 1) covers is covered by another "
+                  "member.",
+        counterexamples=({"m": 20, "n": 17, "baseline_cardinality": 80, "optimal": 79},
+                         {"m": 16, "n": 19, "baseline_cardinality": 72, "optimal": 71}),
         table_cells=(TableCell("middle", 4, 1, +1),),
         edit={"remove": ((-1, 1),)},
     ),
@@ -268,8 +268,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         corrected="drop the disk (2, n); last row A_0^(1,S-1) + {2}",
         rationale="(m-1, 2) and (m, 1..3) are uncovered; the white (m, 2) "
                   "covers all four, and the disk (2, n) is redundant.",
-        counterexample={"m": 16, "n": 20,
-                        "undominated": [[15, 2], [16, 1], [16, 2], [16, 3]]},
+        counterexamples=({"m": 16, "n": 20,
+                          "undominated": [[15, 2], [16, 1], [16, 2], [16, 3]]},),
         table_cells=(TableCell("last", 0, 1, +1), TableCell("white", 0, 1, -1)),
         edit={"remove": ((2, 0),), "last_row": (0, 1, -1, (2,))},
     ),
@@ -284,7 +284,7 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         rationale="(m-4, n) is uncovered. The whites (m-4, n) and (m-1, n) "
                   "take the place of the disks (m-1, 1) and (m-1, n), so "
                   "every cell is covered at the optimal size.",
-        counterexample={"m": 17, "n": 16, "undominated": [[13, 16]]},
+        counterexamples=({"m": 17, "n": 16, "undominated": [[13, 16]]},),
         table_cells=(TableCell("last", 1, 2, +1), TableCell("white", 1, 2, -2)),
         edit={"remove": ((-1, 1), (-1, 0)), "last_col": (3, 1, -1, (2, -1))},
     ),
@@ -301,8 +301,8 @@ DEVIATIONS: tuple[DeviationEntry, ...] = (
         rationale="at offset 4, (m-1, 2) and (m, 1..3) are uncovered; offset "
                   "1 with the tables above covers every cell at the optimal "
                   "size.",
-        counterexample={"m": 17, "n": 19,
-                        "undominated": [[16, 2], [17, 1], [17, 2], [17, 3]]},
+        counterexamples=({"m": 17, "n": 19,
+                          "undominated": [[16, 2], [17, 1], [17, 2], [17, 3]]},),
         table_cells=(TableCell("first", 4, 2, +1), TableCell("white", 4, 2, -2),
                      TableCell("last", 4, 2, +1)),
         edit={"offset": 1, "remove": ((2, 0), (-1, 1)),

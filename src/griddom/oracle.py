@@ -26,7 +26,8 @@ TABLE_CACHE_BYTES. Each cell step is then a gather-min over at most five
 (domination) or three ([1,2]) such rows, plus 1 on the states whose new
 digit r is 0, i.e. where a member is placed. Back-pointers are the one-byte
 k of the chosen predecessor, logged per cell only for the states with a
-choice, the prefix preds[1]; a state past it has one predecessor, k = 0. The
+choice, the prefix preds[1]; a state past it has one predecessor, k = 0.
+Each row offset's log is one preallocated (columns, choices) byte array. The
 log is dropped above a byte budget, in which case only the value is
 returned.
 """
@@ -318,17 +319,19 @@ def _frontier_tables(variant: str, width: int):
     return entry
 
 
-def _reconstruct(tables, bps, final_index: int, width: int):
+def _reconstruct(tables, logs, final_index: int):
     """Follow the back-pointers from the final state to the initial one.
-    An index past a step's log has one predecessor, k = 0."""
+    logs[r][col] is the log of row offset r in column col; an index past it
+    has one predecessor, k = 0."""
     members = []
     index = final_index
-    for step in range(len(bps) - 1, -1, -1):
-        preds, place = tables[step % width]
-        if place[index]:
-            members.append((step % width, step // width))
-        bp = bps[step]
-        index = int(preds[bp[index] if index < bp.size else 0][index])
+    for col in range(len(logs[0]) - 1, -1, -1):
+        for r in range(len(tables) - 1, -1, -1):
+            preds, place = tables[r]
+            if place[index]:
+                members.append((r, col))
+            bp = logs[r][col]
+            index = int(preds[bp[index] if index < bp.size else 0][index])
     return members, index
 
 
@@ -336,7 +339,6 @@ def exact_gamma_dp(
     dims: GridDims,
     variant: str = "domination",
     width_cap: int | None = None,
-    return_witness: bool = True,
 ) -> OracleResult:
     """Exact minimum via the frontier DP; witness via back-pointers.
 
@@ -351,9 +353,9 @@ def exact_gamma_dp(
     `row_states[r]` is the reachable set entering row offset r and `states`
     its maximum. `backpointer_bytes` is the log size compared with
     BACKPOINTER_BUDGET: one byte per cell for each state with more than one
-    predecessor, under half of the pairs in `work`. When the log would
-    exceed the budget (or return_witness is false) only the value is
-    computed and the result is flagged witness_dropped.
+    predecessor, under half of the pairs in `work`, kept as one array per row
+    offset. When the log would exceed the budget only the value is computed
+    and the result is flagged witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
@@ -375,22 +377,23 @@ def exact_gamma_dp(
     # states past preds[1] have one predecessor and log nothing
     choices = [preds[1].size if len(preds) > 1 else 0 for preds, _ in tables]
     log_bytes = sum(choices) * length
-    keep_bp = return_witness and log_bytes <= BACKPOINTER_BUDGET
+    keep_bp = log_bytes <= BACKPOINTER_BUDGET
     top = max(sizes)
     values = np.full(top, _INF, dtype=np.int32)
     values[init_index] = 0
     spare = np.empty(top, dtype=np.int32)
     gathered = np.empty(top, dtype=np.int32)
     better = np.empty(top, dtype=np.uint8)
-    bps = []
-    for _col in range(length):
-        for (preds, place), choice in zip(tables, choices):
+    # logs[r][col]: the k of each state with a choice entering row offset r
+    logs = [np.zeros((length, c), dtype=np.uint8) for c in choices] if keep_bp else None
+    for col in range(length):
+        for r, (preds, place) in enumerate(tables):
             out = spare[:place.size]
             head = preds[0].size
             # every index is in range; "clip" skips the buffered bounds check
             np.take(values, preds[0], out=out[:head], mode="clip")
             out[head:] = _INF       # the start state may have no predecessor
-            bp = np.zeros(choice, dtype=np.uint8) if keep_bp else None
+            bp = logs[r][col] if keep_bp else None
             for k in range(1, len(preds)):
                 n = preds[k].size
                 cur, cand, less = out[:n], gathered[:n], better[:n]
@@ -404,8 +407,6 @@ def exact_gamma_dp(
                 np.minimum(cur, cand, out=cur)
             np.add(out, place, out=out)
             values, spare = spare, values
-            if keep_bp:
-                bps.append(bp)
     finals = np.where(final_ok, values[:final_ok.size], _INF)
     final_index = int(np.argmin(finals))
     value = int(finals[final_index])
@@ -413,7 +414,7 @@ def exact_gamma_dp(
         raise AssertionError("no feasible completion; the DP is inconsistent")
     witness = None
     if keep_bp:
-        cells, start = _reconstruct(tables, bps, final_index, width)
+        cells, start = _reconstruct(tables, logs, final_index)
         if start != init_index:
             raise AssertionError("back-pointer chain broken")
         if dims.m <= dims.n:
@@ -425,7 +426,7 @@ def exact_gamma_dp(
     return OracleResult(
         dims=dims, variant=variant, value=value, witness=witness,
         method="profile-dp", work=sum(sizes) * length,
-        witness_dropped=return_witness and not keep_bp,
+        witness_dropped=not keep_bp,
         states=max(row_states), backpointer_bytes=log_bytes,
         row_states=row_states,
     )

@@ -55,16 +55,6 @@ class CoverageReport:
     member_mask: np.ndarray = field(repr=False)
     open_counts: np.ndarray = field(repr=False)
 
-    def is_member(self, v: tuple) -> bool:
-        r, c = v
-        return bool(self.member_mask[r - 1, c - 1])
-
-    def count(self, v: tuple) -> int:
-        """|N(v) & D| for non-members, |N[v] & D| for members."""
-        r, c = v
-        open_ = int(self.open_counts[r - 1, c - 1])
-        return open_ + 1 if self.is_member(v) else open_
-
     @property
     def max_total_coverage(self) -> int:
         """Largest |N[v] & D| over all vertices, members included."""
@@ -108,21 +98,10 @@ class CheckResult:
     counterexamples: tuple = ()
 
 
-@dataclass(frozen=True)
-class UniqueCoverageResult:
-    passed: bool
-    counterexamples: tuple[tuple[Vertex, int], ...]
-    total: int
-
-
-def interior_unique_coverage(dims: GridDims, black, cap: int | None = COUNTEREXAMPLE_CAP) -> UniqueCoverageResult:
-    """Every sub-grid vertex must see exactly one black member in its closed
-    neighborhood, and every degree-4 vertex at most one."""
-    return _unique_coverage(_indicator(dims, black), cap)
-
-
-def _unique_coverage(ind: np.ndarray, cap: int | None) -> UniqueCoverageResult:
-    """interior_unique_coverage from the padded indicator of the black members."""
+def _unique_coverage(ind: np.ndarray, cap: int | None) -> CheckResult:
+    """The "interior_unique" check, from the padded indicator of the black
+    members: every sub-grid vertex must see exactly one black member in its
+    closed neighborhood, and every degree-4 vertex at most one."""
     closed = _open_counts(ind) + ind[1:-1, 1:-1]
     inner = closed[1:-1, 1:-1]            # degree-4 vertices, from (2, 2)
     bad = inner != 1
@@ -131,8 +110,11 @@ def _unique_coverage(ind: np.ndarray, cap: int | None) -> UniqueCoverageResult:
         for r, c in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
             bad[r, c] = inner[r, c] > 1
     cells, total = _vertices(bad, cap, offset=2)
-    ces = tuple((v, int(closed[v.row - 1, v.col - 1])) for v in cells)
-    return UniqueCoverageResult(passed=total == 0, counterexamples=ces, total=total)
+    return CheckResult(
+        "interior_unique", total == 0,
+        detail=f"{total} interior vertices off" if total else "",
+        counterexamples=tuple((v, int(closed[v.row - 1, v.col - 1])) for v in cells),
+    )
 
 
 @dataclass(frozen=True)
@@ -194,15 +176,10 @@ def verify_pattern(p: PatternSet, cap: int | None = COUNTEREXAMPLE_CAP) -> Patte
     else:
         expected = None
         card = CheckResult("cardinality", True, detail="no closed form below 16; skipped")
-    uniq_check = CheckResult(
-        "interior_unique", uniq.passed,
-        detail="" if uniq.passed else f"{uniq.total} interior vertices off",
-        counterexamples=uniq.counterexamples,
-    )
     closed_max = report.max_total_coverage
     return PatternVerdict(
         dims=dims,
-        checks=(dom, one_two, card, uniq_check),
+        checks=(dom, one_two, card, uniq),
         cardinality=report.cardinality,
         expected_cardinality=expected,
         total_coverage_within_two=closed_max <= 2,

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from griddom import (GridDims, construct, count_cross_check,
+from griddom import (GridDims, construct, count_cross_check, coverage_map,
                      exact_gamma_bruteforce, exact_gamma_dp, gamma_formula,
                      pattern_class, verify_pattern)
 from griddom.cli import bench_row
@@ -108,10 +108,8 @@ def test_criterion_5_one_two_desk_scale():
     gaps = {}
     for m in range(1, 11):
         for n in range(m, 15):
-            g = exact_gamma_dp(GridDims(m, n), "domination",
-                               return_witness=False).value
-            g12 = exact_gamma_dp(GridDims(m, n), "one-two",
-                                 return_witness=False).value
+            g = exact_gamma_dp(GridDims(m, n), "domination").value
+            g12 = exact_gamma_dp(GridDims(m, n), "one-two").value
             assert g <= g12, (m, n, g, g12)
             gaps[(m, n)] = g12 - g
     elapsed = time.perf_counter() - t0
@@ -127,19 +125,22 @@ def test_criterion_5_one_two_desk_scale():
 
 @pytest.mark.optional
 @pytest.mark.skipif(os.environ.get("GRIDDOM_RUN_OPTIONAL") != "1",
-                    reason="width-16 solve takes ~15 s and ~0.7 GB; set "
+                    reason="width-16 solve takes ~12 s and ~0.6 GB; set "
                            "GRIDDOM_RUN_OPTIONAL=1 to run")
 def test_criterion_6_exact_dp_16x16_meets_formula():
     t0 = time.perf_counter()
-    res = exact_gamma_dp(GridDims(16, 16), "domination", width_cap=16,
-                         return_witness=False)
+    res = exact_gamma_dp(GridDims(16, 16), "domination", width_cap=16)
     elapsed = time.perf_counter() - t0
     ok = res.value == 60 == gamma_formula(GridDims(16, 16))
     # sandwich: exact <= constructed, and both meet the closed form, which
     # certifies optimality of the construction end to end at this size
     ok = ok and construct(GridDims(16, 16)).cardinality == res.value
-    report(6, "optional 16x16 exact recomputation", ok,
-           f"dp={res.value}, {elapsed:.1f} s")
+    # the witness is an independent minimum dominating set
+    witness = res.witness or ()
+    ok = ok and len(witness) == 60
+    ok = ok and coverage_map(GridDims(16, 16), witness).is_dominating
+    report(6, "optional 16x16 exact recomputation with witness", ok,
+           f"dp={res.value}, witness={len(witness)} members, {elapsed:.1f} s")
     assert ok
 
 

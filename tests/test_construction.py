@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (GridDims, Vertex, construct, coverage_map,
-                     first_column_offset, gamma_formula, pattern_class,
-                     row_offset, verify_pattern)
+from griddom import (GridDims, Vertex, construct, gamma_formula,
+                     pattern_class, verify_pattern)
 from griddom.construction import FRAME_KEYS, PatternSet, build
 from griddom.deviations import BY_ID, class_edit
 
@@ -21,22 +20,6 @@ REFERENCE_SIZES = {
     (24, 23): 126,
     (24, 24): 131,
 }
-
-
-def test_first_column_offset():
-    assert first_column_offset(20) == 2
-    assert first_column_offset(16) == 1
-    assert first_column_offset(19) == 4
-    with pytest.raises(ValueError):
-        first_column_offset(0)
-
-
-def test_row_offset():
-    assert row_offset(1, 1) == 1
-    assert row_offset(2, 2) == 0
-    assert row_offset(1, 6) == 1          # period 5 in p
-    with pytest.raises(ValueError):
-        row_offset(1, 0)
 
 
 def test_gamma_formula_values():
@@ -133,16 +116,7 @@ def test_construct_black_white_disjoint_and_tagged():
 
 
 def test_construct_composes_the_operations():
-    # construct is build(dims, edit) for its class's ledger edit, and the
-    # ids of the records that state it; a class that no correction names,
-    # like (2,2), is the paper's baseline
-    for dims in (GridDims(16, 16), GridDims(20, 20), GridDims(24, 23), GridDims(22, 22)):
-        p = construct(dims)
-        ids, edit = class_edit(pattern_class(dims))
-        black, white = build(dims, edit)
-        assert np.array_equal(p.black_rc, black)
-        assert p.white == tuple(sorted(white))
-        assert p.deviations == ids
+    # a class that no correction names, like (2,2), is the paper's baseline
     assert class_edit((2, 2)) == (("DEV-DM-RANGE", "DEV-DL-OFFSET"), {})
     # remove: two disks of one row, a coordinate e <= 0 read as side + e
     d = GridDims(20, 20)
@@ -155,33 +129,27 @@ def test_construct_composes_the_operations():
 
 
 def test_every_class_builds_direct():
-    # every grid is its class's tables on (m, n) itself, with its edit
+    # every grid is build(dims, edit) on (m, n) itself for its class's ledger
+    # edit, and lists the ids of the records that state it
     for m in range(16, 41):
         for n in range(16, 41):
             dims = GridDims(m, n)
             p = construct(dims)
-            black, white = build(dims, class_edit(pattern_class(dims))[1])
+            ids, edit = class_edit(pattern_class(dims))
+            black, white = build(dims, edit)
             assert np.array_equal(p.black_rc, black), (m, n)
             assert np.array_equal(p.white_rc, sorted(white)), (m, n)
+            assert p.deviations == ids, (m, n)
 
 
-def _baseline(dims):
-    return PatternSet(dims, *build(dims, {}))
-
-
-def test_baseline_reproduces_ledger_counterexamples():
-    # class (1,1): baseline is one over optimal
-    base = _baseline(GridDims(16, 16))
-    assert base.cardinality == 61
-    # class (1,4): baseline leaves the bottom-right corner undominated
-    base = _baseline(GridDims(19, 16))
-    report = coverage_map(GridDims(19, 16), set(base.black) | set(base.white))
-    assert set(report.undominated) == {(18, 15), (19, 16)}
-    # class (2,1): four uncovered cells near (m, 2), one member short
-    base = _baseline(GridDims(16, 17))
-    report = coverage_map(GridDims(16, 17), set(base.black) | set(base.white))
-    assert set(report.undominated) == {(15, 2), (16, 1), (16, 2), (16, 3)}
-    assert base.cardinality == gamma_formula(GridDims(16, 17)) - 1
+def test_baseline_disks_follow_the_diagonal_offset():
+    # row p's disks lie in the columns congruent to a1 + 3(p-1) mod 5, where
+    # a1 = n mod 5, or 2 when 5 divides n
+    for m in range(16, 21):
+        for n in range(16, 21):
+            black = build(GridDims(m, n), {})[0]
+            a1 = n % 5 if n % 5 else 2
+            assert ((black[:, 1] - a1 - 3 * (black[:, 0] - 1)) % 5 == 0).all(), (m, n)
 
 
 def test_construct_memory_tracks_output_not_area():

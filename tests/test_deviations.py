@@ -1,7 +1,7 @@
 import pytest
 
-from griddom import (DEVIATIONS, GridDims, construct, coverage_map,
-                     gamma_formula, load_ledger, pattern_class, verify_pattern)
+from griddom import (DEVIATIONS, GridDims, construct, gamma_formula,
+                     load_ledger, pattern_class, verify_pattern)
 from griddom.construction import SIDES, PatternSet, _entry, build
 from griddom.deviations import BY_ID, class_edit, expected_table_mismatches
 
@@ -37,44 +37,35 @@ def test_deviation_ids_for_class():
 
 
 def test_counterexamples_replay_against_baseline():
-    """Each table-correction entry's counterexample must really occur when the
-    baseline tables are used, and construct() must mend it."""
+    """Each table-correction entry's counterexamples, one grid per class it
+    covers, must really occur when the baseline tables are used, and
+    construct() must mend them. A counterexample with no undominated cells
+    is a baseline that dominates, is a [1,2]-set and covers the sub-grid
+    once, but is too large or reaches past the grid."""
     for entry in DEVIATIONS:
-        ce = entry.counterexample
-        if entry.kind != "table-correction" or not ce or "m" not in ce:
+        if entry.kind != "table-correction":
             continue
-        dims = GridDims(ce["m"], ce["n"])
-        base = PatternSet(dims, *build(dims, {}))
-        if "baseline_cardinality" in ce:
-            assert base.cardinality == ce["baseline_cardinality"], entry.id
-        if "optimal" in ce:
-            assert gamma_formula(dims) == ce["optimal"], entry.id
-        if "undominated" in ce:
-            rep = coverage_map(dims, set(base.black) | set(base.white))
-            assert {tuple(v) for v in ce["undominated"]} == set(rep.undominated), entry.id
-        if "out_of_range_column" in ce:
-            lr = _entry(SIDES[pattern_class(dims)][2], dims.n // 5, dims.n)
-            assert ce["out_of_range_column"] in lr, entry.id
-        assert verify_pattern(construct(dims)).ok, entry.id
-
-
-def test_corner_fix_counterexamples_replay():
-    # the baseline of these classes is a dominating [1,2]-set that is too
-    # large; the ledger edit makes it optimal. The grids after each record's
-    # own counterexample are the other classes that share its edit.
-    for dev_id, (m, n), excess in (
-            ("DEV-FIX-00", (20, 20), 2), ("DEV-FIX-02", (17, 20), 1),
-            ("DEV-FIX-02", (18, 20), 1), ("DEV-FIX-02", (19, 20), 1),
-            ("DEV-FIX-20", (20, 17), 1), ("DEV-FIX-20", (16, 19), 1),
-            ("DEV-FIX-33", (18, 18), 1)):
-        dims = GridDims(m, n)
-        v = verify_pattern(PatternSet(dims, *build(dims, {})))
-        assert all(v.check(name).passed
-                   for name in ("dominating", "one_two", "interior_unique")), dev_id
-        assert v.cardinality == gamma_formula(dims) + excess, dev_id
-        p = construct(dims)
-        assert dev_id in p.deviations
-        assert p.cardinality == gamma_formula(dims) and verify_pattern(p).ok
+        dims_of = [GridDims(ce["m"], ce["n"]) for ce in entry.counterexamples]
+        assert sorted(map(pattern_class, dims_of)) == sorted(entry.classes), entry.id
+        for ce, dims in zip(entry.counterexamples, dims_of):
+            base = PatternSet(dims, *build(dims, {}))
+            v = verify_pattern(base, cap=None)
+            if "baseline_cardinality" in ce:
+                assert base.cardinality == ce["baseline_cardinality"], entry.id
+            if "optimal" in ce:
+                assert gamma_formula(dims) == ce["optimal"], entry.id
+            if "undominated" in ce:
+                undominated = v.check("dominating").counterexamples
+                assert {tuple(c) for c in ce["undominated"]} == set(undominated), entry.id
+            else:
+                assert all(v.check(name).passed for name in
+                           ("dominating", "one_two", "interior_unique")), entry.id
+            if "out_of_range_column" in ce:
+                lr = _entry(SIDES[pattern_class(dims)][2], dims.n // 5, dims.n)
+                assert ce["out_of_range_column"] in lr, entry.id
+            p = construct(dims)
+            assert entry.id in p.deviations, entry.id
+            assert verify_pattern(p).ok, entry.id
 
 
 def test_fix_33_has_a_repair_at_the_paper_offset():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (GridDims, Vertex, coverage_map, interior_unique_coverage,
-                     residue_class)
+from griddom import (GridDims, Vertex, coverage_map, residue_class,
+                     verify_pattern)
+from griddom.construction import PatternSet
 
 D16 = GridDims(16, 16)
 
@@ -29,9 +30,9 @@ def _frame(dims):
 
 
 def _subgrid(dims):
-    """Vertices interior_unique_coverage requires to be covered exactly once:
-    with no disks, each of them is reported."""
-    res = interior_unique_coverage(dims, [], cap=None)
+    """Vertices the interior_unique check requires to be covered exactly
+    once: with no disks, each of them is reported."""
+    res = verify_pattern(PatternSet(dims, (), ()), cap=None).check("interior_unique")
     return {v for v, _ in res.counterexamples}
 
 
@@ -52,13 +53,14 @@ def test_neighbors_out_of_bounds():
     with pytest.raises(ValueError, match=r"\(0, 3\)"):
         coverage_map(D16, [(0, 3)])
     with pytest.raises(ValueError, match=r"\(17, 1\)"):
-        interior_unique_coverage(D16, [(17, 1)])
+        verify_pattern(PatternSet(D16, [(17, 1)], ()))
 
 
 def test_closed_neighborhood():
     def covered(v):
         report = coverage_map(D16, [v], cap=None)
-        return {u for u in _cells(D16) if report.count(u)}
+        closed = report.open_counts + report.member_mask
+        return {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*closed.nonzero())}
     assert covered((1, 1)) == {(1, 1), (1, 2), (2, 1)}
     assert len(covered((8, 8))) == 5
     assert covered((16, 8)) == {(16, 8), (16, 7), (16, 9), (15, 8)}

@@ -88,7 +88,6 @@ def test_dp_witness_small_grids(m, n, variant):
     res = exact_gamma_dp(dims, variant)
     assert feasible(dims, res.witness, variant)
     assert len(res.witness) == res.value
-    assert exact_gamma_dp(dims, variant, return_witness=False).value == res.value
     assert exact_gamma_dp(GridDims(n, m), variant).value == res.value
 
 
@@ -109,8 +108,8 @@ def test_dp_reachable_state_counts():
     # largest reachable frontier set over the row offsets, far below 3**11
     # and 4**9 dense codes
     for res, width, states in [
-            (exact_gamma_dp(GridDims(11, 11), return_witness=False), 11, 21979),
-            (exact_gamma_dp(GridDims(9, 9), "one-two", return_witness=False), 9, 17394)]:
+            (exact_gamma_dp(GridDims(11, 11)), 11, 21979),
+            (exact_gamma_dp(GridDims(9, 9), "one-two"), 9, 17394)]:
         assert res.states == states
         # one count per row offset; each column relaxes every reachable state
         assert len(res.row_states) == width and max(res.row_states) == states
@@ -174,6 +173,23 @@ def test_dp_witness_dropped_over_budget(monkeypatch):
     monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", full.backpointer_bytes)
     exact = exact_gamma_dp(GridDims(4, 8))
     assert exact.witness == full.witness
+
+
+def test_dp_backpointer_log_costs_its_bytes_on_a_thin_strip():
+    # the log is one array per row offset, so besides its counted bytes the
+    # solve holds about the witness itself (one Vertex per member), not an
+    # array header per cell
+    exact_gamma_dp(GridDims(2, 8))            # tables built outside the trace
+    tracemalloc.start()
+    try:
+        res = exact_gamma_dp(GridDims(2, 3000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == 1501 and len(res.witness) == res.value
+    # six states with a choice over the two row offsets, a byte per column
+    assert res.backpointer_bytes == 6 * 3000
+    assert (peak - res.backpointer_bytes) / res.value < 400
 
 
 def test_dp_cold_and_warm_tables_agree():
@@ -246,7 +262,7 @@ def test_one_two_witness_feasible():
 
 def test_one_two_10x10_value():
     # 24, cross-checked against an independent integer-programming solve
-    res = exact_gamma_dp(GridDims(10, 10), "one-two", return_witness=False)
+    res = exact_gamma_dp(GridDims(10, 10), "one-two")
     assert res.value == 24
 
 

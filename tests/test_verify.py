@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from griddom import (GridDims, Vertex, cli, construct,
                      corner_multiplicity_check, count_cross_check,
-                     coverage_map, gamma_formula, interior_unique_coverage,
-                     verify_pattern)
+                     coverage_map, gamma_formula, verify_pattern)
 from griddom.construction import PatternSet
 
 
@@ -33,10 +32,11 @@ def test_coverage_counterexample_cap():
 def test_coverage_counts_semantics():
     d = GridDims(3, 3)
     r = coverage_map(d, {(2, 2)})
-    assert r.is_member((2, 2))
-    assert r.count((2, 2)) == 1          # closed count for members
-    assert r.count((1, 2)) == 1
-    assert r.count((1, 1)) == 0
+    assert r.member_mask[1, 1] and r.member_mask.sum() == 1
+    assert r.open_counts[1, 1] == 0       # a member's own cell is not counted
+    assert r.open_counts[0, 1] == 1
+    assert r.open_counts[0, 0] == 0
+    assert r.max_total_coverage == 1      # closed count, members included
     assert r.cardinality == 1
 
 
@@ -87,14 +87,16 @@ def test_verify_is_provenance_oblivious():
 
 def test_interior_unique_coverage():
     d = GridDims(16, 16)
-    assert interior_unique_coverage(d, construct(d).black).passed
-    bad = interior_unique_coverage(d, {(8, 8), (8, 9)}, cap=None)
+    def unique(black, **kw):
+        return verify_pattern(PatternSet(d, black, ()), **kw).check("interior_unique")
+    assert unique(construct(d).black_rc).passed
+    bad = unique({(8, 8), (8, 9)}, cap=None)
     assert not bad.passed
     over = {v: c for v, c in bad.counterexamples}
     assert over[(8, 8)] == 2 and over[(8, 9)] == 2    # adjacent disks double-cover
-    empty = interior_unique_coverage(d, set())
+    empty = unique(())
     assert not empty.passed
-    assert empty.total == 192
+    assert empty.detail == "192 interior vertices off"
     assert len(empty.counterexamples) == 32
 
 
