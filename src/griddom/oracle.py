@@ -20,16 +20,19 @@ search from the initial state finds the codes that can enter each row offset
 r (a small fraction of the 3**w or 4**w dense codes) and inverts the
 successor map into predecessor tables: preds[k][j] is the k-th predecessor
 of reachable state j. States are ordered by predecessor count, so preds[k]
-is a prefix and holds no padding. The tables depend only on (variant, w), so
-they are built once and kept, read-only, in a cache bounded by
-TABLE_CACHE_BYTES. Each cell step is then a gather-min over at most five
-(domination) or three ([1,2]) such rows, plus 1 on the states whose new
-digit r is 0, i.e. where a member is placed. Back-pointers are the one-byte
-k of the chosen predecessor, logged per cell only for the states with a
-choice, the prefix preds[1]; a state past it has one predecessor, k = 0.
-Each row offset's log is one preallocated (columns, choices) byte array. The
-log is dropped above a byte budget, in which case only the value is
-returned.
+is a prefix and holds no padding. A successor is located by binary search
+over the sorted reachable codes, so the search's seen-mask is the only
+B**w array, and an index is uint16 where its row has at most 2**16 states
+(domination w <= 12, [1,2] w <= 10), int32 beyond. The tables depend only
+on (variant, w), so they are built once and kept, read-only, in a cache
+bounded by TABLE_CACHE_BYTES. Each cell step is then a gather-min over at
+most five (domination) or three ([1,2]) such rows, plus 1 on the states
+whose new digit r is 0, i.e. where a member is placed. Back-pointers are the
+one-byte k of the chosen predecessor, logged per cell only for the states
+with a choice, the prefix preds[1]; a state past it has one predecessor,
+k = 0. Each row offset's log is one preallocated (columns, choices) byte
+array. The log is dropped above a byte budget, in which case only the value
+is returned.
 """
 
 import threading
@@ -49,7 +52,7 @@ DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
 # codes of 2 bytes would be 8 GiB)
 MAX_WIDTH = 16
 BACKPOINTER_BUDGET = 256 * 2**20   # bytes
-# domination widths <= 13 and [1,2] widths <= 10 take about 26 MB; one
+# domination widths <= 13 and [1,2] widths <= 10 take about 21 MB; one
 # width-16 set (about 218 MB) is never kept
 TABLE_CACHE_BYTES = 64 * 2**20
 VARIANTS = ("domination", "one-two")
@@ -229,6 +232,11 @@ def _reachable_states(successors, base: int, width: int, init: int):
     return found
 
 
+def _index_type(size: int):
+    """Index dtype of a table row over `size` states: uint16 while it fits."""
+    return np.uint16 if size <= 1 << 16 else np.int32
+
+
 def _predecessor_tables(successors, states, base: int, width: int):
     """Per row offset r: (preds, place) over the states leaving row r.
 
@@ -236,31 +244,32 @@ def _predecessor_tables(successors, states, base: int, width: int):
     code. preds[k][j] is the table-order index, among the states entering
     row r, of the k-th predecessor of state j; preds[k] covers only the
     states with more than k predecessors, a prefix of the table order, so no
-    entry is padding. place[j] is true where the new digit r is 0, i.e. the
-    cell becomes a member. Also returns the codes entering row 0 in table
-    order.
+    entry is padding. The indices are uint16 where the states entering row
+    r number at most 2**16, int32 otherwise. place[j] is true where the new
+    digit r is 0, i.e. the cell becomes a member. Also returns the codes
+    entering row 0 in table order.
 
-    One dense position lookup, refilled per r, is the only B**w array, and
-    each states[r] but the first is released once its tables are built.
+    A successor code is found among the sorted states entering row r + 1 by
+    binary search, so no B**w array is allocated here, and each states[r]
+    but the first is released once its tables are built.
     """
-    pos = np.empty(base ** width, dtype=np.int32)
     tables = []
     rank = None                   # sorted index -> table index, states[r]
     for r in range(width):
         src, dst = states[r], states[(r + 1) % width]
         if r:
             states[r] = None
-        pos[dst] = np.arange(dst.size, dtype=np.int32)
         targets = np.concatenate(successors(src, r))
         ok = targets >= 0
-        sources = np.tile(np.arange(src.size, dtype=np.int32), 2)[ok]
+        index = _index_type(src.size)
+        sources = np.tile(np.arange(src.size, dtype=index), 2)[ok]
         if r:
             sources = rank[sources]
-        targets = pos[targets[ok]]
+        targets = np.searchsorted(dst, targets[ok])
         counts = np.bincount(targets, minlength=dst.size)
         order = np.argsort(-counts, kind="stable")
-        rank = np.empty(dst.size, dtype=np.int32)
-        rank[order] = np.arange(dst.size, dtype=np.int32)
+        rank = np.empty(dst.size, dtype=_index_type(dst.size))
+        rank[order] = np.arange(dst.size, dtype=rank.dtype)
         # group the sources by target in table order; within a group they
         # keep their order, and the i-th of each group is a k = i predecessor
         sources = sources[np.argsort(rank[targets], kind="stable")]
@@ -347,15 +356,19 @@ def exact_gamma_dp(
     cap, raises CapacityError naming the dense bound B**width on the
     frontier codes. The DP runs over reachable frontier states only, through
     predecessor tables built once per (variant, width) and kept, read-only,
-    while all kept tables total at most TABLE_CACHE_BYTES (64 MiB, every
-    domination width <= 13 and [1,2] width <= 10; a width-16 set is rebuilt
-    on each call). `work` counts the (reachable state, cell) pairs relaxed,
-    `row_states[r]` is the reachable set entering row offset r and `states`
-    its maximum. `backpointer_bytes` is the log size compared with
-    BACKPOINTER_BUDGET: one byte per cell for each state with more than one
-    predecessor, under half of the pairs in `work`, kept as one array per row
-    offset. When the log would exceed the budget only the value is computed
-    and the result is flagged witness_dropped.
+    while all kept tables total at most TABLE_CACHE_BYTES (64 MiB; every
+    domination width <= 13 and [1,2] width <= 10 fits, about 21 MB together,
+    and a width-16 set is rebuilt on each call). Predecessor indices are
+    uint16 where a row has at most 2**16 states (domination width <= 12,
+    [1,2] width <= 10) and int32 beyond. The only B**width array is the
+    reachable-state search's seen-mask. `work` counts the (reachable state,
+    cell) pairs relaxed, `row_states[r]` is the reachable set entering row
+    offset r and `states` its maximum.
+    `backpointer_bytes` is the log size compared with BACKPOINTER_BUDGET: one
+    byte per cell for each state with more than one predecessor, under half
+    of the pairs in `work`, kept as one array per row offset. When the log
+    would exceed the budget only the value is computed and the result is
+    flagged witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]

@@ -9,6 +9,7 @@ ledger names, and that every such cell is exercised.
 """
 
 import os
+import resource
 import time
 
 import pytest
@@ -29,6 +30,11 @@ REFERENCE_SIZES = {
     (24, 23): 126,
     (24, 24): 131,
 }
+
+
+def maxrss_mb():
+    """Peak resident set of this process so far, in MiB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def report(num, name, ok, detail=""):
@@ -125,7 +131,7 @@ def test_criterion_5_one_two_desk_scale():
 
 @pytest.mark.optional
 @pytest.mark.skipif(os.environ.get("GRIDDOM_RUN_OPTIONAL") != "1",
-                    reason="width-16 solve takes ~12 s and ~0.6 GB; set "
+                    reason="width-16 solve takes ~12 s and ~0.5 GB; set "
                            "GRIDDOM_RUN_OPTIONAL=1 to run")
 def test_criterion_6_exact_dp_16x16_meets_formula():
     t0 = time.perf_counter()
@@ -140,7 +146,8 @@ def test_criterion_6_exact_dp_16x16_meets_formula():
     ok = ok and len(witness) == 60
     ok = ok and coverage_map(GridDims(16, 16), witness).is_dominating
     report(6, "optional 16x16 exact recomputation with witness", ok,
-           f"dp={res.value}, witness={len(witness)} members, {elapsed:.1f} s")
+           f"dp={res.value}, witness={len(witness)} members, {elapsed:.1f} s, "
+           f"max RSS {maxrss_mb():.0f} MiB")
     assert ok
 
 

@@ -1,6 +1,7 @@
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from griddom import (CapacityError, GridDims, Vertex, coverage_map,
@@ -239,6 +240,39 @@ def test_dp_table_cache_byte_bound(monkeypatch):
     # the least recently used entry goes first: 4 was used after 5
     kept, _ = solve_widths(size[4] + size[6], 4, 5, 4, 6)
     assert kept == [4, 6]
+
+
+def test_dp_table_indices_are_uint16_where_the_states_fit():
+    """A row offset's predecessor indices are uint16 when the states they
+    index number at most 2**16, as on every row of domination width 12 and
+    [1,2] width 10, so those cache entries hold two bytes per index (4.8 and
+    3.4 MiB with int32 indices); each row of domination width 13 has over
+    2**16 states and keeps int32."""
+    for variant, width, mib in (("domination", 12, 2.8), ("one-two", 10, 2.0)):
+        exact_gamma_dp(GridDims(width, width), variant)
+        (tables, _, final_ok, _), size = oracle._table_cache[variant, width]
+        preds = [p for row, _ in tables for p in row]
+        assert {p.dtype for p in preds} == {np.dtype(np.uint16)}
+        assert size == (final_ok.nbytes + sum(2 * p.size for p in preds)
+                        + sum(place.nbytes for _, place in tables))
+        assert size < mib * 2**20, (variant, width, size)
+    tables, _, _, row_states = oracle._frontier_tables("domination", 13)
+    assert min(row_states) > 2**16
+    assert {p.dtype for row, _ in tables for p in row} == {np.dtype(np.int32)}
+
+
+def test_dp_cold_table_build_allocates_no_dense_lookup():
+    """A cold (domination, 12) build peaks at about 7.4 MB; with a dense
+    int32 lookup over the 3**12 codes it peaked at about 8.8 MB, and with
+    int32 indices as well at 11.1 MB."""
+    oracle._table_cache.pop(("domination", 12), None)
+    tracemalloc.start()
+    try:
+        oracle._frontier_tables("domination", 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_one_two_at_least_domination():

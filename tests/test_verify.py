@@ -149,7 +149,7 @@ def test_provenance_is_derived_from_the_grid():
     assert PatternSet(GridDims(6, 5), [(1, 1)], []).deviations == ()
 
 
-def test_env_ledger_override(monkeypatch, capsys):
+def test_unledgered_white_offset_is_unexplained(monkeypatch, capsys):
     """A count off by other than its ledgered amount is unexplained.
 
     16x16 (class (1,1)) has 12 whites where the table prints 13, which
