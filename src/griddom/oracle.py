@@ -28,11 +28,13 @@ on (variant, w), so they are built once and kept, read-only, in a cache
 bounded by TABLE_CACHE_BYTES. Each cell step is then a gather-min over at
 most five (domination) or three ([1,2]) such rows, plus 1 on the states
 whose new digit r is 0, i.e. where a member is placed. Back-pointers are the
-one-byte k of the chosen predecessor, logged per cell only for the states
-with a choice, the prefix preds[1]; a state past it has one predecessor,
-k = 0. Each row offset's log is one preallocated (columns, choices) byte
-array. The log is dropped above a byte budget, in which case only the value
-is returned.
+k of the chosen predecessor, logged per cell only for the states with a
+choice, the prefix preds[1]; a state past it has one predecessor, k = 0. A
+k is a digit in base K, the width's largest predecessor count (5 for
+domination, 3 for [1,2]), and one byte holds the digits of D consecutive
+columns, the most with K**D <= 256 (3 and 5 columns). Each row offset's log
+is one preallocated (ceil(columns / D), choices) byte array. The log is
+dropped above a byte budget, in which case only the value is returned.
 """
 
 import threading
@@ -68,8 +70,9 @@ class OracleResult:
     """One exact solve. `work` counts subsets tried (brute force) or
     (reachable state, cell) pairs relaxed (profile DP). For the DP,
     `row_states[r]` is the number of reachable frontier codes entering row
-    offset r, `states` its maximum, and `backpointer_bytes` the witness log
-    size compared with the budget; they are (), 0 and 0 for brute force."""
+    offset r, `states` its maximum, and `backpointer_bytes` the packed
+    witness log's size, compared with the budget; they are (), 0 and 0 for
+    brute force."""
 
     dims: GridDims
     variant: str
@@ -166,11 +169,19 @@ def _successors_domination(codes: np.ndarray, r: int):
     else:
         pu = pr // 3
         up = codes // pu % 3
-        place = cleared - (up == 2) * pu     # the member dominates its up neighbor
+        # the member dominates its up neighbor
+        place = np.where(up == 2, cleared - pu, cleared)
         up_member = up == 0
-    no_place = np.where(d == 2, -1,
-                        cleared + np.where((d == 0) | up_member, 1, 2) * pr)
+    # a new non-member is dominated (digit 1) by a member left of or above it
+    fresh = np.where((d == 0) | up_member, np.int32(pr), np.int32(2 * pr))
+    no_place = np.where(d == 2, -1, cleared + fresh)
     return place, no_place
+
+
+# [1,2] digit lookups, int32 so that the codes stay int32: a digit after one
+# more cover, and a fresh non-member's digit by its member neighbors so far
+_COVERED_ONCE_MORE = np.array((0, 2, 2, 1), dtype=np.int32)
+_FRESH_DIGIT = np.array((3, 1, 2), dtype=np.int32)
 
 
 def _successors_one_two(codes: np.ndarray, r: int):
@@ -184,16 +195,16 @@ def _successors_one_two(codes: np.ndarray, r: int):
     pr = 4 ** r
     d = codes // pr % 4
     cleared = codes - d * pr
+    members = (d == 0).astype(np.intp)
     if r == 0:
         place = np.where(d == 2, -1, cleared)
-        members = (d == 0) * 1
     else:
         pu = pr // 4
         up = codes // pu % 4
-        covered = np.array((0, 2, 2, 1))[up]    # up digit after one more cover
+        covered = _COVERED_ONCE_MORE[up]
         place = np.where((d == 2) | (up == 2), -1, cleared + (covered - up) * pu)
-        members = (d == 0) * 1 + (up == 0)
-    no_place = np.where(d == 3, -1, cleared + np.array((3, 1, 2))[members] * pr)
+        members += up == 0
+    no_place = np.where(d == 3, -1, cleared + _FRESH_DIGIT[members] * pr)
     return place, no_place
 
 
@@ -213,12 +224,13 @@ def _reachable_states(successors, base: int, width: int, init: int):
     """
     seen = np.zeros(base ** width, dtype=np.min_scalar_type((1 << width) - 1))
     seen[init] = 1
-    # exact_gamma_dp's 3**MAX_WIDTH ceiling keeps every code within int32
+    # exact_gamma_dp's 3**MAX_WIDTH ceiling keeps every code within int32,
+    # and the successor rules keep int32 codes int32
     found = [[np.array([init], dtype=np.int32)]] + [[] for _ in range(width - 1)]
     fresh, r = found[0][0], 0
     while fresh.size:
         nxt = (r + 1) % width
-        cand = np.concatenate(successors(fresh, r)).astype(np.int32, copy=False)
+        cand = np.concatenate(successors(fresh, r))
         cand = cand[cand >= 0]
         cand = np.sort(cand[(seen[cand] & (1 << nxt)) == 0])
         fresh = cand[np.diff(cand, prepend=-1) != 0]
@@ -261,18 +273,21 @@ def _predecessor_tables(successors, states, base: int, width: int):
             states[r] = None
         targets = np.concatenate(successors(src, r))
         ok = targets >= 0
+        targets = targets[ok]
         index = _index_type(src.size)
         sources = np.tile(np.arange(src.size, dtype=index), 2)[ok]
+        del ok
         if r:
             sources = rank[sources]
-        targets = np.searchsorted(dst, targets[ok])
+        targets = np.searchsorted(dst, targets)
         counts = np.bincount(targets, minlength=dst.size)
         order = np.argsort(-counts, kind="stable")
         rank = np.empty(dst.size, dtype=_index_type(dst.size))
         rank[order] = np.arange(dst.size, dtype=rank.dtype)
         # group the sources by target in table order; within a group they
         # keep their order, and the i-th of each group is a k = i predecessor
-        sources = sources[np.argsort(rank[targets], kind="stable")]
+        targets = rank[targets]
+        sources = sources[np.argsort(targets, kind="stable")]
         del targets
         counts = counts[order]
         starts = np.cumsum(counts) - counts
@@ -328,19 +343,24 @@ def _frontier_tables(variant: str, width: int):
     return entry
 
 
-def _reconstruct(tables, logs, final_index: int):
+def _reconstruct(tables, logs, length: int, radix: int, per_byte: int,
+                 final_index: int):
     """Follow the back-pointers from the final state to the initial one.
-    logs[r][col] is the log of row offset r in column col; an index past it
-    has one predecessor, k = 0."""
+    The k of row offset r in column col is digit col % per_byte, base radix,
+    of logs[r][col // per_byte]; an index past that row has one
+    predecessor, k = 0."""
     members = []
     index = final_index
-    for col in range(len(logs[0]) - 1, -1, -1):
+    for col in range(length - 1, -1, -1):
+        byte, digit = divmod(col, per_byte)
+        weight = radix ** digit
         for r in range(len(tables) - 1, -1, -1):
             preds, place = tables[r]
             if place[index]:
                 members.append((r, col))
-            bp = logs[r][col]
-            index = int(preds[bp[index] if index < bp.size else 0][index])
+            bp = logs[r][byte]
+            k = int(bp[index]) // weight % radix if index < bp.size else 0
+            index = int(preds[k][index])
     return members, index
 
 
@@ -364,11 +384,12 @@ def exact_gamma_dp(
     reachable-state search's seen-mask. `work` counts the (reachable state,
     cell) pairs relaxed, `row_states[r]` is the reachable set entering row
     offset r and `states` its maximum.
-    `backpointer_bytes` is the log size compared with BACKPOINTER_BUDGET: one
-    byte per cell for each state with more than one predecessor, under half
-    of the pairs in `work`, kept as one array per row offset. When the log
-    would exceed the budget only the value is computed and the result is
-    flagged witness_dropped.
+    `backpointer_bytes` is the log size compared with BACKPOINTER_BUDGET:
+    for each state with more than one predecessor, one byte per D columns,
+    ceil(length / D) bytes, where D is 3 for domination and 5 for [1,2] (the
+    most base-K digits a byte holds, K the largest predecessor count), kept
+    as one array per row offset. When the log would exceed the budget only
+    the value is computed and the result is flagged witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
@@ -387,9 +408,13 @@ def exact_gamma_dp(
         )
     tables, init_index, final_ok, row_states = _frontier_tables(variant, width)
     sizes = [place.size for _, place in tables]
-    # states past preds[1] have one predecessor and log nothing
+    # states past preds[1] have one predecessor and log nothing; a k is a
+    # base-radix digit, and one log byte holds per_byte columns' digits
     choices = [preds[1].size if len(preds) > 1 else 0 for preds, _ in tables]
-    log_bytes = sum(choices) * length
+    radix = max(2, *(len(preds) for preds, _ in tables))
+    per_byte = max(d for d in range(1, 9) if radix ** d <= 256)
+    log_rows = -(-length // per_byte)
+    log_bytes = sum(choices) * log_rows
     keep_bp = log_bytes <= BACKPOINTER_BUDGET
     top = max(sizes)
     values = np.full(top, _INF, dtype=np.int32)
@@ -397,27 +422,39 @@ def exact_gamma_dp(
     spare = np.empty(top, dtype=np.int32)
     gathered = np.empty(top, dtype=np.int32)
     better = np.empty(top, dtype=np.uint8)
-    # logs[r][col]: the k of each state with a choice entering row offset r
-    logs = [np.zeros((length, c), dtype=np.uint8) for c in choices] if keep_bp else None
+    # logs[r][byte]: the packed k of each state with a choice entering row
+    # offset r, in the per_byte columns from byte * per_byte
+    if keep_bp:
+        logs = [np.zeros((log_rows, c), dtype=np.uint8) for c in choices]
+        digits = np.empty(max(choices), dtype=np.uint8)
     for col in range(length):
+        byte, digit = divmod(col, per_byte)
         for r, (preds, place) in enumerate(tables):
             out = spare[:place.size]
             head = preds[0].size
             # every index is in range; "clip" skips the buffered bounds check
             np.take(values, preds[0], out=out[:head], mode="clip")
             out[head:] = _INF       # the start state may have no predecessor
-            bp = logs[r][col] if keep_bp else None
+            if keep_bp:
+                # a byte's first column is written into the log in place, a
+                # later one is scaled to its digit and added
+                bp = logs[r][byte] if digit == 0 else digits[:choices[r]]
             for k in range(1, len(preds)):
                 n = preds[k].size
                 cur, cand, less = out[:n], gathered[:n], better[:n]
                 np.take(values, preds[k], out=cand, mode="clip")
-                if keep_bp:
+                if keep_bp and k == 1:          # preds[1] spans all of bp
+                    np.less(cand, cur, out=bp)
+                elif keep_bp:
                     # k rises, so the max keeps the last strictly better k:
                     # the argmin, ties to the lowest k (a masked copy is
                     # several times slower when many entries improve)
                     np.less(cand, cur, out=less)
                     np.maximum(bp[:n], np.multiply(less, k, out=less), out=bp[:n])
                 np.minimum(cur, cand, out=cur)
+            if keep_bp and digit:
+                np.multiply(bp, radix ** digit, out=bp)
+                np.add(logs[r][byte], bp, out=logs[r][byte])
             np.add(out, place, out=out)
             values, spare = spare, values
     finals = np.where(final_ok, values[:final_ok.size], _INF)
@@ -427,7 +464,8 @@ def exact_gamma_dp(
         raise AssertionError("no feasible completion; the DP is inconsistent")
     witness = None
     if keep_bp:
-        cells, start = _reconstruct(tables, logs, final_index)
+        cells, start = _reconstruct(tables, logs, length, radix, per_byte,
+                                    final_index)
         if start != init_index:
             raise AssertionError("back-pointer chain broken")
         if dims.m <= dims.n:

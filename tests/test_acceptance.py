@@ -131,7 +131,7 @@ def test_criterion_5_one_two_desk_scale():
 
 @pytest.mark.optional
 @pytest.mark.skipif(os.environ.get("GRIDDOM_RUN_OPTIONAL") != "1",
-                    reason="width-16 solve takes ~12 s and ~0.5 GB; set "
+                    reason="width-16 solve takes ~10 s and ~0.45 GB; set "
                            "GRIDDOM_RUN_OPTIONAL=1 to run")
 def test_criterion_6_exact_dp_16x16_meets_formula():
     t0 = time.perf_counter()

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from itertools import combinations
 
@@ -92,17 +93,62 @@ def test_dp_witness_small_grids(m, n, variant):
     assert exact_gamma_dp(GridDims(n, m), variant).value == res.value
 
 
+def test_dp_witnesses_are_pinned():
+    """The witnesses the back-pointer log yields, pinned as one SHA-256.
+    Lengths w..w+14 take every residue mod 3 and mod 5, so a log holding
+    several columns per byte decodes every digit position, and a last byte
+    only partly filled, for both variants and both orientations."""
+    digest = hashlib.sha256()
+    for variant in ("domination", "one-two"):
+        for width in (3, 5):
+            for length in range(width, width + 15):
+                for m, n in ((width, length), (length, width)):
+                    res = exact_gamma_dp(GridDims(m, n), variant)
+                    digest.update(repr((variant, m, n, res.value,
+                                        res.witness)).encode())
+    assert digest.hexdigest() == (
+        "f2d73b235618cbcb41f2a2ed71ce046302837b616b60a54408b18967fc949812")
+
+
 def test_dp_13x13_witness_within_budget():
-    # 40 is the published domination number of the 13x13 grid; the one-byte
+    # 40 is the published domination number of the 13x13 grid; the packed
     # log over its reachable states fits the default back-pointer budget
     res = exact_gamma_dp(GridDims(13, 13), width_cap=13)
     assert res.value == 40
     assert not res.witness_dropped and len(res.witness) == 40
     assert feasible(GridDims(13, 13), res.witness, "domination")
-    # one byte per cell for each of the 670511 states with a choice
-    assert res.backpointer_bytes == 670511 * 13
+    # for each of the 670511 states with a choice, one byte per three
+    # columns: a k is one of 5, and 5**3 <= 256, so ceil(13 / 3) bytes
+    assert res.backpointer_bytes == 670511 * 5
     assert 0 < res.backpointer_bytes < res.work
     assert res.backpointer_bytes <= BACKPOINTER_BUDGET
+
+
+def test_dp_witness_log_is_packed():
+    """A 13x17 domination solve over cached tables peaks under 8 MB: its log
+    holds three columns per byte (4.0 MB), where one byte per column took
+    11.4 MB and the solve peaked at 14.1 MB."""
+    oracle._frontier_tables("domination", 13)   # built outside the trace
+    tracemalloc.start()
+    try:
+        res = exact_gamma_dp(GridDims(13, 17), width_cap=13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not res.witness_dropped and len(res.witness) == res.value
+    assert res.backpointer_bytes == 670511 * 6      # ceil(17 / 3) bytes
+    assert peak < 8e6, peak
+
+
+def test_successor_codes_stay_int32():
+    # int64 codes would make the table build copy each row's codes to
+    # compare them with the successors
+    for variant in oracle.VARIANTS:
+        base, _, successors = oracle._RULES[variant]
+        codes = np.arange(base ** 5, dtype=np.int32)
+        for r in range(5):
+            place, no_place = successors(codes, r)
+            assert place.dtype == no_place.dtype == np.int32, (variant, r)
 
 
 def test_dp_reachable_state_counts():
@@ -188,8 +234,9 @@ def test_dp_backpointer_log_costs_its_bytes_on_a_thin_strip():
     finally:
         tracemalloc.stop()
     assert res.value == 1501 and len(res.witness) == res.value
-    # six states with a choice over the two row offsets, a byte per column
-    assert res.backpointer_bytes == 6 * 3000
+    # six states with a choice over the two row offsets; a k is one of 5,
+    # so a byte holds three columns: ceil(3000 / 3) bytes each
+    assert res.backpointer_bytes == 6 * 1000
     assert (peak - res.backpointer_bytes) / res.value < 400
 
 

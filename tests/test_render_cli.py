@@ -191,8 +191,9 @@ def test_cli_oracle_dp_reports_states(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 6 and len(payload["witness"]) == 6
     assert 0 < payload["states"] <= 3 ** 4
-    # one byte per cell for each state with more than one predecessor
-    assert payload["backpointer_bytes"] == 360
+    # for each of the 72 states with more than one predecessor, one byte per
+    # three columns (a k is one of 5, and 5**3 <= 256): 72 * ceil(5 / 3)
+    assert payload["backpointer_bytes"] == 72 * 2
     assert 0 < payload["backpointer_bytes"] < payload["work"]
     assert len(payload["row_states"]) == 4
     assert max(payload["row_states"]) == payload["states"]
