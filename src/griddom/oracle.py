@@ -32,9 +32,16 @@ k of the chosen predecessor, logged per cell only for the states with a
 choice, the prefix preds[1]; a state past it has one predecessor, k = 0. A
 k is a digit in base K, the width's largest predecessor count (5 for
 domination, 3 for [1,2]), and one byte holds the digits of D consecutive
-columns, the most with K**D <= 256 (3 and 5 columns). Each row offset's log
-is one preallocated (ceil(columns / D), choices) byte array. The log is
-dropped above a byte budget, in which case only the value is returned.
+columns, the most with K**D <= 256 (3 and 5 columns). The log is dropped
+above a byte budget, in which case only the value is returned.
+
+Every solve of width w sweeps at least w columns from the same start state,
+so the first P = D * (w // D) columns are swept once, when the tables are
+built, and cached with them: the values after column P - 1 and each row
+offset's first P / D log bytes, a (P / D, choices) byte array (P = 0 below
+D). A solve starts from those values and sweeps only columns P onward, into
+one preallocated (ceil(columns / D) - P / D, choices) byte array per row
+offset; the witness is read back through both.
 """
 
 import threading
@@ -54,8 +61,9 @@ DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
 # codes of 2 bytes would be 8 GiB)
 MAX_WIDTH = 16
 BACKPOINTER_BUDGET = 256 * 2**20   # bytes
-# domination widths <= 13 and [1,2] widths <= 10 take about 21 MB; one
-# width-16 set (about 218 MB) is never kept
+# domination widths <= 13 and [1,2] widths <= 10 take 20.8 MB of tables and
+# 5.8 MB of swept prefixes (the oracle-dp widths, domination 11-13 and [1,2]
+# 9-10, 19.9 + 5.5 MB); one width-16 set (about 218 MB) is never kept
 TABLE_CACHE_BYTES = 64 * 2**20
 VARIANTS = ("domination", "one-two")
 _INF = np.int32(2**30)
@@ -68,7 +76,8 @@ class CapacityError(ValueError):
 @dataclass(frozen=True)
 class OracleResult:
     """One exact solve. `work` counts subsets tried (brute force) or
-    (reachable state, cell) pairs relaxed (profile DP). For the DP,
+    (reachable state, cell) pairs relaxed (profile DP) over the whole sweep,
+    the columns of the cached prefix included. For the DP,
     `row_states[r]` is the number of reachable frontier codes entering row
     offset r, `states` its maximum, and `backpointer_bytes` the packed
     witness log's size, compared with the budget; they are (), 0 and 0 for
@@ -303,16 +312,78 @@ _table_cache: OrderedDict = OrderedDict()  # (variant, width) -> (entry, bytes)
 _table_cache_lock = threading.Lock()
 
 
+def _log_layout(tables):
+    """(choices, radix, per_byte) of the witness log over `tables`: the
+    choices[r] states entering row offset r with more than one predecessor
+    (the prefix preds[1]) log a k, a k is a base-radix digit, radix the
+    largest predecessor count, and one byte holds per_byte columns' digits."""
+    choices = [preds[1].size if len(preds) > 1 else 0 for preds, _ in tables]
+    radix = max(2, *(len(preds) for preds, _ in tables))
+    per_byte = max(d for d in range(1, 9) if radix ** d <= 256)
+    return choices, radix, per_byte
+
+
+def _sweep(tables, start, columns: int, logs, radix: int, per_byte: int):
+    """Relax `columns` columns from `start`, the values of the states
+    entering row 0, and return the values of those states after them.
+    Unless logs is None, column col's k for row offset r is packed into
+    logs[r][col // per_byte]; col counts from this sweep's first column."""
+    top = max(place.size for _, place in tables)
+    values = np.full(top, _INF, dtype=np.int32)
+    values[:start.size] = start
+    spare = np.empty(top, dtype=np.int32)
+    gathered = np.empty(top, dtype=np.int32)
+    better = np.empty(top, dtype=np.uint8)
+    if logs is not None:
+        digits = np.empty(max(log.shape[1] for log in logs), dtype=np.uint8)
+    for col in range(columns):
+        byte, digit = divmod(col, per_byte)
+        for r, (preds, place) in enumerate(tables):
+            out = spare[:place.size]
+            head = preds[0].size
+            # every index is in range; "clip" skips the buffered bounds check
+            np.take(values, preds[0], out=out[:head], mode="clip")
+            out[head:] = _INF       # the start state may have no predecessor
+            if logs is not None:
+                # a byte's first column is written into the log in place, a
+                # later one is scaled to its digit and added
+                bp = logs[r][byte] if digit == 0 else digits[:logs[r].shape[1]]
+            for k in range(1, len(preds)):
+                n = preds[k].size
+                cur, cand, less = out[:n], gathered[:n], better[:n]
+                np.take(values, preds[k], out=cand, mode="clip")
+                if logs is not None and k == 1:     # preds[1] spans all of bp
+                    np.less(cand, cur, out=bp)
+                elif logs is not None:
+                    # k rises, so the max keeps the last strictly better k:
+                    # the argmin, ties to the lowest k (a masked copy is
+                    # several times slower when many entries improve)
+                    np.less(cand, cur, out=less)
+                    np.maximum(bp[:n], np.multiply(less, k, out=less), out=bp[:n])
+                np.minimum(cur, cand, out=cur)
+            if logs is not None and digit:
+                np.multiply(bp, radix ** digit, out=bp)
+                np.add(logs[r][byte], bp, out=logs[r][byte])
+            np.add(out, place, out=out)
+            values, spare = spare, values
+    return values[:tables[-1][1].size]
+
+
 def _frontier_tables(variant: str, width: int):
-    """(tables, init_index, final_ok, row_states) for one variant and width.
+    """(tables, init_index, final_ok, row_states, prefix, prefix_logs) for
+    one variant and width.
 
     tables are as `_predecessor_tables` returns them; init_index is the
     all-ones start state's index among the states entering row 0, and
     final_ok marks those of them that may end the sweep (no digit `bad`);
     row_states[r] is the size of the reachable set entering row offset r.
-    Every array is read-only. Entries are kept, least recently used evicted
-    first, while their arrays total at most TABLE_CACHE_BYTES; a larger
-    entry is returned without being kept.
+    Every solve of this width sweeps at least `width` columns from the start
+    state, so the first P = D * (width // D) columns are swept here, D the
+    columns per log byte: prefix holds the values of the states entering
+    row 0 after column P - 1, and prefix_logs[r] the P / D log bytes of row
+    offset r. Every array is read-only. Entries are kept, least recently
+    used evicted first, while their arrays total at most TABLE_CACHE_BYTES;
+    a larger entry is returned without being kept.
     """
     key = (variant, width)
     with _table_cache_lock:
@@ -329,10 +400,18 @@ def _frontier_tables(variant: str, width: int):
     final_ok = np.ones(final_codes.size, dtype=bool)
     for j in range(width):
         final_ok &= final_codes // base ** j % base != bad
-    arrays = [final_ok] + [a for preds, place in tables for a in (*preds, place)]
+    choices, radix, per_byte = _log_layout(tables)
+    skip = width // per_byte            # log bytes that every solve fills
+    start = np.full(final_codes.size, _INF, dtype=np.int32)
+    start[init_index] = 0
+    prefix_logs = [np.zeros((skip, c), dtype=np.uint8) for c in choices]
+    prefix = _sweep(tables, start, skip * per_byte, prefix_logs, radix,
+                    per_byte).copy()
+    arrays = [final_ok, prefix, *prefix_logs] + [
+        a for preds, place in tables for a in (*preds, place)]
     for a in arrays:
         a.flags.writeable = False
-    entry = (tables, init_index, final_ok, row_states)
+    entry = (tables, init_index, final_ok, row_states, prefix, prefix_logs)
     size = sum(a.nbytes for a in arrays)
     if size <= TABLE_CACHE_BYTES:
         with _table_cache_lock:
@@ -343,14 +422,16 @@ def _frontier_tables(variant: str, width: int):
     return entry
 
 
-def _reconstruct(tables, logs, length: int, radix: int, per_byte: int,
-                 final_index: int):
+def _reconstruct(tables, prefix_logs, logs, length: int, radix: int,
+                 per_byte: int, final_index: int):
     """Follow the back-pointers from the final state to the initial one.
     The k of row offset r in column col is digit col % per_byte, base radix,
-    of logs[r][col // per_byte]; an index past that row has one
-    predecessor, k = 0."""
+    of log byte col // per_byte, read from prefix_logs[r] for the cached
+    prefix's bytes and from logs[r] past them; an index past that row has
+    one predecessor, k = 0."""
     members = []
     index = final_index
+    skip = prefix_logs[0].shape[0]
     for col in range(length - 1, -1, -1):
         byte, digit = divmod(col, per_byte)
         weight = radix ** digit
@@ -358,7 +439,7 @@ def _reconstruct(tables, logs, length: int, radix: int, per_byte: int,
             preds, place = tables[r]
             if place[index]:
                 members.append((r, col))
-            bp = logs[r][byte]
+            bp = prefix_logs[r][byte] if byte < skip else logs[r][byte - skip]
             k = int(bp[index]) // weight % radix if index < bp.size else 0
             index = int(preds[k][index])
     return members, index
@@ -376,20 +457,25 @@ def exact_gamma_dp(
     cap, raises CapacityError naming the dense bound B**width on the
     frontier codes. The DP runs over reachable frontier states only, through
     predecessor tables built once per (variant, width) and kept, read-only,
-    while all kept tables total at most TABLE_CACHE_BYTES (64 MiB; every
-    domination width <= 13 and [1,2] width <= 10 fits, about 21 MB together,
+    while all kept entries total at most TABLE_CACHE_BYTES (64 MiB; every
+    domination width <= 13 and [1,2] width <= 10 fits, 26.6 MB together,
     and a width-16 set is rebuilt on each call). Predecessor indices are
     uint16 where a row has at most 2**16 states (domination width <= 12,
     [1,2] width <= 10) and int32 beyond. The only B**width array is the
-    reachable-state search's seen-mask. `work` counts the (reachable state,
-    cell) pairs relaxed, `row_states[r]` is the reachable set entering row
-    offset r and `states` its maximum.
+    reachable-state search's seen-mask. Each entry also holds the first
+    P = D * (width // D) columns, swept from the start state when the
+    tables are built (their values and P / D log bytes per row offset), so
+    a solve sweeps only the length - P columns past them. `work` counts the
+    (reachable state, cell) pairs of all length columns, the prefix's
+    included, `row_states[r]` is the reachable set entering row offset r
+    and `states` its maximum.
     `backpointer_bytes` is the log size compared with BACKPOINTER_BUDGET:
     for each state with more than one predecessor, one byte per D columns,
     ceil(length / D) bytes, where D is 3 for domination and 5 for [1,2] (the
     most base-K digits a byte holds, K the largest predecessor count), kept
-    as one array per row offset. When the log would exceed the budget only
-    the value is computed and the result is flagged witness_dropped.
+    as one array per row offset; the prefix's P / D bytes count too. When
+    the log would exceed the budget only the value is computed and the
+    result is flagged witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
@@ -406,66 +492,28 @@ def exact_gamma_dp(
             f"{base**width} frontier codes (a bound; the DP keeps only the "
             "reachable ones)"
         )
-    tables, init_index, final_ok, row_states = _frontier_tables(variant, width)
-    sizes = [place.size for _, place in tables]
-    # states past preds[1] have one predecessor and log nothing; a k is a
-    # base-radix digit, and one log byte holds per_byte columns' digits
-    choices = [preds[1].size if len(preds) > 1 else 0 for preds, _ in tables]
-    radix = max(2, *(len(preds) for preds, _ in tables))
-    per_byte = max(d for d in range(1, 9) if radix ** d <= 256)
+    tables, init_index, final_ok, row_states, prefix, prefix_logs = \
+        _frontier_tables(variant, width)
+    choices, radix, per_byte = _log_layout(tables)
     log_rows = -(-length // per_byte)
     log_bytes = sum(choices) * log_rows
     keep_bp = log_bytes <= BACKPOINTER_BUDGET
-    top = max(sizes)
-    values = np.full(top, _INF, dtype=np.int32)
-    values[init_index] = 0
-    spare = np.empty(top, dtype=np.int32)
-    gathered = np.empty(top, dtype=np.int32)
-    better = np.empty(top, dtype=np.uint8)
-    # logs[r][byte]: the packed k of each state with a choice entering row
-    # offset r, in the per_byte columns from byte * per_byte
-    if keep_bp:
-        logs = [np.zeros((log_rows, c), dtype=np.uint8) for c in choices]
-        digits = np.empty(max(choices), dtype=np.uint8)
-    for col in range(length):
-        byte, digit = divmod(col, per_byte)
-        for r, (preds, place) in enumerate(tables):
-            out = spare[:place.size]
-            head = preds[0].size
-            # every index is in range; "clip" skips the buffered bounds check
-            np.take(values, preds[0], out=out[:head], mode="clip")
-            out[head:] = _INF       # the start state may have no predecessor
-            if keep_bp:
-                # a byte's first column is written into the log in place, a
-                # later one is scaled to its digit and added
-                bp = logs[r][byte] if digit == 0 else digits[:choices[r]]
-            for k in range(1, len(preds)):
-                n = preds[k].size
-                cur, cand, less = out[:n], gathered[:n], better[:n]
-                np.take(values, preds[k], out=cand, mode="clip")
-                if keep_bp and k == 1:          # preds[1] spans all of bp
-                    np.less(cand, cur, out=bp)
-                elif keep_bp:
-                    # k rises, so the max keeps the last strictly better k:
-                    # the argmin, ties to the lowest k (a masked copy is
-                    # several times slower when many entries improve)
-                    np.less(cand, cur, out=less)
-                    np.maximum(bp[:n], np.multiply(less, k, out=less), out=bp[:n])
-                np.minimum(cur, cand, out=cur)
-            if keep_bp and digit:
-                np.multiply(bp, radix ** digit, out=bp)
-                np.add(logs[r][byte], bp, out=logs[r][byte])
-            np.add(out, place, out=out)
-            values, spare = spare, values
-    finals = np.where(final_ok, values[:final_ok.size], _INF)
+    # the cached prefix holds the first skip log bytes' columns; logs[r][b]
+    # is byte skip + b of row offset r
+    skip = prefix_logs[0].shape[0]
+    logs = ([np.zeros((log_rows - skip, c), dtype=np.uint8) for c in choices]
+            if keep_bp else None)
+    values = _sweep(tables, prefix, length - skip * per_byte, logs, radix,
+                    per_byte)
+    finals = np.where(final_ok, values, _INF)
     final_index = int(np.argmin(finals))
     value = int(finals[final_index])
     if value >= int(_INF):
         raise AssertionError("no feasible completion; the DP is inconsistent")
     witness = None
     if keep_bp:
-        cells, start = _reconstruct(tables, logs, length, radix, per_byte,
-                                    final_index)
+        cells, start = _reconstruct(tables, prefix_logs, logs, length, radix,
+                                    per_byte, final_index)
         if start != init_index:
             raise AssertionError("back-pointer chain broken")
         if dims.m <= dims.n:
@@ -476,7 +524,7 @@ def exact_gamma_dp(
             raise AssertionError("witness size disagrees with DP value")
     return OracleResult(
         dims=dims, variant=variant, value=value, witness=witness,
-        method="profile-dp", work=sum(sizes) * length,
+        method="profile-dp", work=sum(row_states) * length,
         witness_dropped=not keep_bp,
         states=max(row_states), backpointer_bytes=log_bytes,
         row_states=row_states,

@@ -248,15 +248,52 @@ def test_dp_cold_and_warm_tables_agree():
                 cold = exact_gamma_dp(GridDims(m, n), variant)
                 assert (variant, min(m, n)) in oracle._table_cache
                 warm = exact_gamma_dp(GridDims(m, n), variant)
-                assert (warm.value, warm.witness) == (cold.value, cold.witness)
-                assert warm.row_states == cold.row_states
+                # value, witness, backpointer_bytes, work, row_states, ...
+                assert warm == cold
+
+
+def count_swept_columns(monkeypatch):
+    """Record the column count of every `_sweep` call."""
+    swept = []
+    sweep = oracle._sweep
+
+    def counting(tables, start, columns, *rest):
+        swept.append(columns)
+        return sweep(tables, start, columns, *rest)
+
+    monkeypatch.setattr(oracle, "_sweep", counting)
+    return swept
+
+
+@pytest.mark.parametrize("variant,width,prefix", [
+    ("domination", 12, 12), ("one-two", 10, 10), ("one-two", 5, 5),
+    ("domination", 2, 0), ("one-two", 4, 0)])
+def test_dp_solves_sweep_only_the_columns_past_the_cached_prefix(
+        monkeypatch, variant, width, prefix):
+    """The table build sweeps the first P = D * (width // D) columns, D the
+    columns per log byte (3 for domination, 5 for [1,2]), and a solve only
+    the rest: with P = width a square solve sweeps no column of its own,
+    and below D nothing is cached. A cold solve (tables built) equals a
+    warm one in every field."""
+    swept = count_swept_columns(monkeypatch)
+    for m, n in ((width, width), (width, width + 1), (width + 1, width)):
+        oracle._table_cache.clear()
+        cold = exact_gamma_dp(GridDims(m, n), variant)
+        warm = exact_gamma_dp(GridDims(m, n), variant)
+        assert swept == [prefix] + 2 * [max(m, n) - prefix], (m, n)
+        swept.clear()
+        assert warm == cold
+        assert len(warm.witness) == warm.value
+        assert feasible(GridDims(m, n), warm.witness, variant)
 
 
 def test_dp_cached_tables_are_read_only():
     exact_gamma_dp(GridDims(5, 7), "one-two")
-    tables, _, final_ok, _ = oracle._frontier_tables("one-two", 5)
+    tables, _, final_ok, _, prefix, prefix_logs = oracle._frontier_tables(
+        "one-two", 5)
     preds, place = tables[0]
-    for array in (preds[0], preds[-1], place, final_ok):
+    for array in (preds[0], preds[-1], place, final_ok, prefix,
+                  *prefix_logs):
         with pytest.raises(ValueError):
             array[0] = array[0]
 
@@ -292,18 +329,27 @@ def test_dp_table_cache_byte_bound(monkeypatch):
 def test_dp_table_indices_are_uint16_where_the_states_fit():
     """A row offset's predecessor indices are uint16 when the states they
     index number at most 2**16, as on every row of domination width 12 and
-    [1,2] width 10, so those cache entries hold two bytes per index (4.8 and
-    3.4 MiB with int32 indices); each row of domination width 13 has over
-    2**16 states and keeps int32."""
-    for variant, width, mib in (("domination", 12, 2.8), ("one-two", 10, 2.0)):
+    [1,2] width 10, so those tables hold two bytes per index (4.8 and 3.4
+    MiB with int32 indices); each row of domination width 13 has over 2**16
+    states and keeps int32. The rest of an entry is its swept prefix: the
+    values entering row 0 and width // D log bytes per state with a choice
+    (12 // 3 and 10 // 5)."""
+    for variant, width, mib, prefix_bytes in (("domination", 12, 2.8, 4),
+                                              ("one-two", 10, 2.0, 2)):
         exact_gamma_dp(GridDims(width, width), variant)
-        (tables, _, final_ok, _), size = oracle._table_cache[variant, width]
+        entry, size = oracle._table_cache[variant, width]
+        tables, _, final_ok, _, prefix, prefix_logs = entry
         preds = [p for row, _ in tables for p in row]
         assert {p.dtype for p in preds} == {np.dtype(np.uint16)}
-        assert size == (final_ok.nbytes + sum(2 * p.size for p in preds)
-                        + sum(place.nbytes for _, place in tables))
-        assert size < mib * 2**20, (variant, width, size)
-    tables, _, _, row_states = oracle._frontier_tables("domination", 13)
+        table_size = (final_ok.nbytes + sum(2 * p.size for p in preds)
+                      + sum(place.nbytes for _, place in tables))
+        assert table_size < mib * 2**20, (variant, width, table_size)
+        choices = sum(row[1].size for row, _ in tables)
+        assert size - table_size == (4 * final_ok.size
+                                     + prefix_bytes * choices)
+        assert prefix.nbytes + sum(log.nbytes for log in prefix_logs) == \
+            size - table_size
+    tables, _, _, row_states, _, _ = oracle._frontier_tables("domination", 13)
     assert min(row_states) > 2**16
     assert {p.dtype for row, _ in tables for p in row} == {np.dtype(np.int32)}
 
