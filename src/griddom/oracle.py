@@ -9,15 +9,14 @@ as oracles for it:
     one cell at a time, over a frontier of width w = min(m, n) whose states
     are base-3 (domination) or base-4 ([1,2]-domination) codes.
 
-Frontier states track, per cell: 0 = member; then for plain domination
-1 = dominated non-member, 2 = not yet dominated; for [1,2]-domination
-1 = covered once, 2 = covered twice, 3 = uncovered (a non-member reaching a
-third covering neighbor is pruned immediately). A cell leaves the frontier
-when its right neighbor is decided, at which point it must not be uncovered.
+Both variants share one vectorised transition rule and differ only in two
+digit tables (`_RULES`, above which the frontier digits are described): a
+digit after one more member neighbor, and a new non-member's digit by its
+member neighbors so far. A cell leaves the frontier when its right neighbor
+is decided, at which point it must not be uncovered.
 
-The transition rule is one vectorised successor function per variant. A
-search from the initial state finds the codes that can enter each row offset
-r (a small fraction of the 3**w or 4**w dense codes) and inverts the
+A search from the initial state finds the codes that can enter each row
+offset r (a small fraction of the 3**w or 4**w dense codes) and inverts the
 successor map into predecessor tables: preds[k][j] is the k-th predecessor
 of reachable state j. States are ordered by predecessor count, so preds[k]
 is a prefix and holds no padding. A successor is located by binary search
@@ -163,83 +162,68 @@ def exact_gamma_bruteforce(dims: GridDims, variant: str = "domination") -> Oracl
 # Broken-profile dynamic program
 # ---------------------------------------------------------------------------
 
-def _successors_domination(codes: np.ndarray, r: int):
-    """(place, no place) successors of frontier codes entering row r.
-
-    A pruned move maps to -1: not placing is pruned when the left neighbor,
-    leaving the frontier, is still undominated (old digit 2).
-    """
-    pr = 3 ** r
-    d = codes // pr % 3
-    cleared = codes - d * pr
-    if r == 0:
-        place = cleared
-        up_member = False
-    else:
-        pu = pr // 3
-        up = codes // pu % 3
-        # the member dominates its up neighbor
-        place = np.where(up == 2, cleared - pu, cleared)
-        up_member = up == 0
-    # a new non-member is dominated (digit 1) by a member left of or above it
-    fresh = np.where((d == 0) | up_member, np.int32(pr), np.int32(2 * pr))
-    no_place = np.where(d == 2, -1, cleared + fresh)
-    return place, no_place
-
-
-# [1,2] digit lookups, int32 so that the codes stay int32: a digit after one
-# more cover, and a fresh non-member's digit by its member neighbors so far
-_COVERED_ONCE_MORE = np.array((0, 2, 2, 1), dtype=np.int32)
-_FRESH_DIGIT = np.array((3, 1, 2), dtype=np.int32)
-
-
-def _successors_one_two(codes: np.ndarray, r: int):
-    """(place, no place) successors of frontier codes entering row r.
-
-    Placing is pruned when it would cover the left or up neighbor a third
-    time (digit 2); not placing is pruned when the left neighbor leaves the
-    frontier uncovered (digit 3). A fresh non-member's digit is its count of
-    member neighbors so far: 0 -> 3, 1 -> 1, 2 -> 2.
-    """
-    pr = 4 ** r
-    d = codes // pr % 4
-    cleared = codes - d * pr
-    members = (d == 0).astype(np.intp)
-    if r == 0:
-        place = np.where(d == 2, -1, cleared)
-    else:
-        pu = pr // 4
-        up = codes // pu % 4
-        covered = _COVERED_ONCE_MORE[up]
-        place = np.where((d == 2) | (up == 2), -1, cleared + (covered - up) * pu)
-        members += up == 0
-    no_place = np.where(d == 3, -1, cleared + _FRESH_DIGIT[members] * pr)
-    return place, no_place
-
-
-# variant -> (digit base, digit no final state may hold, successor rule)
+# Frontier digits in base B = cover.size: 0 is a member, B - 1 a non-member
+# not yet covered, and 1..B - 2 a non-member covered that many times
+# (domination stops counting at 1). Per variant, two int32 digit tables, so
+# that the codes stay int32: cover[d] is digit d after one more member
+# neighbor, -1 where that move is pruned (a [1,2] non-member covered twice);
+# fresh[k] is a new non-member's digit when it has k member neighbors so far.
 _RULES = {
-    "domination": (3, 2, _successors_domination),
-    "one-two": (4, 3, _successors_one_two),
+    "domination": (np.array((0, 1, 1), dtype=np.int32),
+                   np.array((2, 1, 1), dtype=np.int32)),
+    "one-two": (np.array((0, 2, -1, 1), dtype=np.int32),
+                np.array((3, 1, 2), dtype=np.int32)),
 }
 
 
-def _reachable_states(successors, base: int, width: int, init: int):
+def _successors(rule, codes: np.ndarray, r: int):
+    """(place, no place) successors of frontier codes entering row r.
+
+    The new cell's left neighbor (old digit r) leaves the frontier and its up
+    neighbor (digit r - 1) stays. Placing a member covers both, and is
+    pruned where either cannot be covered again; not placing is pruned where
+    the left neighbor leaves uncovered. A pruned move maps to -1.
+    """
+    cover, fresh = rule
+    base = cover.size
+    pr = base ** r
+    left = codes // pr % base
+    cleared = codes - left * pr
+    # np.take reads a digit table in about half the time of table[digits]
+    pruned = np.take(cover < 0, left)
+    members = (left == 0).astype(np.int8)
+    place = cleared
+    if r:
+        pu = pr // base
+        up = codes // pu % base
+        covered = np.take(cover, up)
+        pruned |= covered < 0
+        members += up == 0
+        place = cleared + (covered - up) * pu
+        del up, covered     # freed first: no_place sets the build's peak
+    place = np.where(pruned, -1, place)
+    no_place = np.where(left == base - 1, -1,
+                        cleared + np.take(fresh, members) * pr)
+    return place, no_place
+
+
+def _reachable_states(rule, width: int, init: int):
     """Sorted frontier codes that can enter each row offset r, in any column.
 
     Only newly found states are propagated, so the search stops at the first
     step that finds nothing new: every later step would start from nothing.
     One dense seen-mask, one bit per row offset, is the only B**w array.
     """
-    seen = np.zeros(base ** width, dtype=np.min_scalar_type((1 << width) - 1))
+    seen = np.zeros(rule[0].size ** width,
+                    dtype=np.min_scalar_type((1 << width) - 1))
     seen[init] = 1
     # exact_gamma_dp's 3**MAX_WIDTH ceiling keeps every code within int32,
-    # and the successor rules keep int32 codes int32
+    # and the successor rule keeps int32 codes int32
     found = [[np.array([init], dtype=np.int32)]] + [[] for _ in range(width - 1)]
     fresh, r = found[0][0], 0
     while fresh.size:
         nxt = (r + 1) % width
-        cand = np.concatenate(successors(fresh, r))
+        cand = np.concatenate(_successors(rule, fresh, r))
         cand = cand[cand >= 0]
         cand = np.sort(cand[(seen[cand] & (1 << nxt)) == 0])
         fresh = cand[np.diff(cand, prepend=-1) != 0]
@@ -258,7 +242,7 @@ def _index_type(size: int):
     return np.uint16 if size <= 1 << 16 else np.int32
 
 
-def _predecessor_tables(successors, states, base: int, width: int):
+def _predecessor_tables(rule, states, width: int):
     """Per row offset r: (preds, place) over the states leaving row r.
 
     Those states are put in table order: most predecessors first, ties by
@@ -274,13 +258,14 @@ def _predecessor_tables(successors, states, base: int, width: int):
     binary search, so no B**w array is allocated here, and each states[r]
     but the first is released once its tables are built.
     """
+    base = rule[0].size
     tables = []
     rank = None                   # sorted index -> table index, states[r]
     for r in range(width):
         src, dst = states[r], states[(r + 1) % width]
         if r:
             states[r] = None
-        targets = np.concatenate(successors(src, r))
+        targets = np.concatenate(_successors(rule, src, r))
         ok = targets >= 0
         targets = targets[ok]
         index = _index_type(src.size)
@@ -375,7 +360,7 @@ def _frontier_tables(variant: str, width: int):
 
     tables are as `_predecessor_tables` returns them; init_index is the
     all-ones start state's index among the states entering row 0, and
-    final_ok marks those of them that may end the sweep (no digit `bad`);
+    final_ok marks those of them that may end the sweep (no digit B - 1);
     row_states[r] is the size of the reachable set entering row offset r.
     Every solve of this width sweeps at least `width` columns from the start
     state, so the first P = D * (width // D) columns are swept here, D the
@@ -391,15 +376,16 @@ def _frontier_tables(variant: str, width: int):
         if hit is not None:
             _table_cache.move_to_end(key)
             return hit[0]
-    base, bad, successors = _RULES[variant]
+    rule = _RULES[variant]
+    base = rule[0].size
     init = (base ** width - 1) // (base - 1)      # every frontier digit = 1
-    states = _reachable_states(successors, base, width, init)
+    states = _reachable_states(rule, width, init)
     row_states = tuple(s.size for s in states)
-    tables, final_codes = _predecessor_tables(successors, states, base, width)
+    tables, final_codes = _predecessor_tables(rule, states, width)
     init_index = int(np.flatnonzero(final_codes == init)[0])
     final_ok = np.ones(final_codes.size, dtype=bool)
     for j in range(width):
-        final_ok &= final_codes // base ** j % base != bad
+        final_ok &= final_codes // base ** j % base != base - 1
     choices, radix, per_byte = _log_layout(tables)
     skip = width // per_byte            # log bytes that every solve fills
     start = np.full(final_codes.size, _INF, dtype=np.int32)
@@ -479,7 +465,7 @@ def exact_gamma_dp(
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
-    base = _RULES[variant][0]
+    base = _RULES[variant][0].size
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
     if base**width > 3**MAX_WIDTH:
         raise CapacityError(

@@ -199,8 +199,12 @@ def corner_multiplicity_check(p: PatternSet) -> CornerCheckResult:
 
     Reads the closed neighbourhoods of the four near-corner cells and the
     eight frame cells beside the corners by key lookups; no coverage map is
-    built."""
+    built. Below four rows or columns the near-corner cells are not four
+    distinct grid cells, and the check passes vacuously with no coverage."""
     m, n = p.dims.m, p.dims.n
+    if min(m, n) < 4:
+        return CornerCheckResult(passed=True, corner_coverage={},
+                                 forbidden_pairs_present=())
     corners = (Vertex(2, 2), Vertex(2, n - 1), Vertex(m - 1, 2), Vertex(m - 1, n - 1))
     pairs = (
         (Vertex(1, 2), Vertex(2, 1)),
@@ -241,36 +245,34 @@ def _members_at(rc: np.ndarray, cells: list, n: int) -> np.ndarray:
 # Count cross-checks against the bundled count tables
 # ---------------------------------------------------------------------------
 
-def _table2_first(S: int, rn: int) -> int:
-    return {0: 5 * S - 2, 1: 5 * S - 1, 2: 5 * S, 3: 5 * S + 2, 4: 5 * S + 3}[rn]
+# Table 2's disks per five-row block, each cell (a, b) read a*S + b with
+# S = n // 5: the first block and a middle one keyed by n mod 5, the last
+# block by (m mod 5, n mod 5)
+TABLE2_FIRST = ((5, -2), (5, -1), (5, 0), (5, 2), (5, 3))
+# the n=5k+1 cell reads 5S+11 in the source table; kept verbatim here and
+# reconciled through the deviation ledger (DEV-T2-MID-N1)
+TABLE2_MIDDLE = ((5, 0), (5, 11), (5, 2), (5, 3), (5, 4))
+TABLE2_LAST = (
+    ((5, -2), (5, 1), (5, 1), (5, 2), (5, 3)),
+    ((1, 0), (1, -1), (1, 0), (1, 0), (1, 0)),
+    ((2, -1), (2, 0), (2, 1), (2, 1), (2, 1)),
+    ((3, 0), (3, 1), (3, 1), (3, 1), (3, 2)),
+    ((4, -1), (4, 0), (4, 0), (4, 2), (4, 2)),
+)
+# Table 3's white total, read 2T + 2S + delta with T = m // 5; delta keyed
+# (n mod 5, m mod 5)
+TABLE3_WHITE_DELTA = (
+    (0, -1, 0, -1, 2),
+    (-1, 1, -1, -1, 1),
+    (1, 0, 0, 0, 2),
+    (-1, 0, 0, 1, 1),
+    (1, 1, 0, 1, 0),
+)
 
 
-def _table2_middle(S: int, rn: int) -> int:
-    # the n=5k+1 cell reads 5S+11 in the source table; kept verbatim here and
-    # reconciled through the deviation ledger (DEV-T2-MID-N1)
-    return {0: 5 * S, 1: 5 * S + 11, 2: 5 * S + 2, 3: 5 * S + 3, 4: 5 * S + 4}[rn]
-
-
-def _table2_last(S: int, rn: int, rm: int) -> int:
-    rows = {
-        0: {0: 5 * S - 2, 1: 5 * S + 1, 2: 5 * S + 1, 3: 5 * S + 2, 4: 5 * S + 3},
-        1: {0: S, 1: S - 1, 2: S, 3: S, 4: S},
-        2: {0: 2 * S - 1, 1: 2 * S, 2: 2 * S + 1, 3: 2 * S + 1, 4: 2 * S + 1},
-        3: {0: 3 * S, 1: 3 * S + 1, 2: 3 * S + 1, 3: 3 * S + 1, 4: 3 * S + 2},
-        4: {0: 4 * S - 1, 1: 4 * S, 2: 4 * S, 3: 4 * S + 2, 4: 4 * S + 2},
-    }
-    return rows[rm][rn]
-
-
-def _table3_white(S: int, T: int, rn: int, rm: int) -> int:
-    deltas = {
-        0: (0, -1, 0, -1, 2),
-        1: (-1, 1, -1, -1, 1),
-        2: (1, 0, 0, 0, 2),
-        3: (-1, 0, 0, 1, 1),
-        4: (1, 1, 0, 1, 0),
-    }
-    return 2 * T + 2 * S + deltas[rn][rm]
+def _disks(cell: tuple[int, int], S: int) -> int:
+    a, b = cell
+    return a * S + b
 
 
 @dataclass(frozen=True)
@@ -322,15 +324,17 @@ def count_cross_check(p: PatternSet) -> CountCrossCheck:
                 ledger_id = hit[1]
         rows.append(CountRow(label, expected, actual, matches, ledger_id))
 
-    add("first", "first", _table2_first(S, rn), block_sum(1, 5))
+    add("first", "first", _disks(TABLE2_FIRST[rn], S), block_sum(1, 5))
     if rm == 0:
         mids = [(i, block_sum(5 * i + 1, 5 * i + 5)) for i in range(1, T - 1)]
         last = block_sum(m - 4, m)
     else:
         mids = [(i, block_sum(5 * i + 1, 5 * i + 5)) for i in range(1, T)]
         last = block_sum(5 * T + 1, m)
+    middle = _disks(TABLE2_MIDDLE[rn], S)
     for i, actual in mids:
-        add(f"middle[{i}]", "middle", _table2_middle(S, rn), actual)
-    add("last", "last", _table2_last(S, rn, rm), last)
-    add("white", "white", _table3_white(S, T, rn, rm), len(p.white_rc))
+        add(f"middle[{i}]", "middle", middle, actual)
+    add("last", "last", _disks(TABLE2_LAST[rm][rn], S), last)
+    add("white", "white", 2 * T + 2 * S + TABLE3_WHITE_DELTA[rn][rm],
+        len(p.white_rc))
     return CountCrossCheck(dims=p.dims, rows=tuple(rows))

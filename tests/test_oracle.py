@@ -143,12 +143,31 @@ def test_dp_witness_log_is_packed():
 def test_successor_codes_stay_int32():
     # int64 codes would make the table build copy each row's codes to
     # compare them with the successors
-    for variant in oracle.VARIANTS:
-        base, _, successors = oracle._RULES[variant]
-        codes = np.arange(base ** 5, dtype=np.int32)
+    for variant, rule in oracle._RULES.items():
+        codes = np.arange(rule[0].size ** 5, dtype=np.int32)
         for r in range(5):
-            place, no_place = successors(codes, r)
+            place, no_place = oracle._successors(rule, codes, r)
             assert place.dtype == no_place.dtype == np.int32, (variant, r)
+
+
+def test_dp_tables_are_pinned():
+    """Every cached table array with its dtype and shape, the start state's
+    index and the row-state counts, pinned as one SHA-256 over domination
+    widths 1-9 and [1,2] widths 1-8. A reordering of the states would change
+    the witnesses' tie-breaks at widths the witness pin does not reach."""
+    digest = hashlib.sha256()
+    for variant, top in (("domination", 9), ("one-two", 8)):
+        for width in range(1, top + 1):
+            oracle._table_cache.pop((variant, width), None)
+            tables, init_index, final_ok, row_states, prefix, prefix_logs = \
+                oracle._frontier_tables(variant, width)
+            digest.update(repr((variant, width, init_index, row_states)).encode())
+            arrays = [a for preds, place in tables for a in (*preds, place)]
+            for a in arrays + [final_ok, prefix, *prefix_logs]:
+                digest.update(repr((a.dtype.str, a.shape)).encode())
+                digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == (
+        "79fa44f811dd327c7f36baa12987538ba6ea504fde87586674c9e48dfab42edb")
 
 
 def test_dp_reachable_state_counts():

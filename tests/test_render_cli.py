@@ -227,6 +227,22 @@ def test_cli_verify_document_roundtrip(tmp_path, capsys):
     assert payload["checks"]["dominating"]["counterexamples"]
 
 
+@pytest.mark.parametrize("m,n,black", [(1, 1, [[1, 1]]),
+                                        (2, 3, [[1, 2], [2, 2]])])
+def test_cli_verify_corner_check_stays_on_narrow_grids(tmp_path, capsys, m, n,
+                                                       black):
+    """Below four rows or columns the four near-corner cells are not four
+    distinct grid cells: the informative corner check passes with no
+    coverage, so no reported key lies off the grid."""
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"schema_version": 1, "m": m, "n": n,
+                                "black": black, "white": []}))
+    assert main(["verify", "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert payload["corner_check"] == {"passed": True, "coverage": {}}
+
+
 def test_cli_verify_truncated_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 1, "m": 16,')

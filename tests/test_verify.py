@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -108,6 +109,10 @@ def test_corner_multiplicity():
         dims=p.dims, black_rc=p.black,
         white_rc=tuple(sorted(set(p.white) | {Vertex(1, 2), Vertex(2, 1)})))
     assert not corner_multiplicity_check(injected).passed
+    # from four rows and columns the near-corner cells are distinct
+    small = PatternSet(GridDims(4, 4), [(1, 1)], [])
+    assert sorted(corner_multiplicity_check(small).corner_coverage) == [
+        (2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 def test_count_cross_check_20x20():
@@ -134,6 +139,18 @@ def test_count_cross_check_direct_core_20x21():
     last = [r for r in cc.rows if r.label == "last"][0]
     assert last.expected == last.actual == 21              # 5S+1 with S = 4
     assert cc.ok
+
+
+def test_count_rows_are_pinned():
+    """Every row of the count cross-check over [16, 25]^2, all 25 residue
+    classes, pinned as one SHA-256: a misread table cell changes it."""
+    digest = hashlib.sha256()
+    for m, n in product(range(16, 26), repeat=2):
+        for row in count_cross_check(construct(GridDims(m, n))).rows:
+            digest.update(repr((m, n, row.label, row.expected, row.actual,
+                                row.matches, row.ledger_id)).encode())
+    assert digest.hexdigest() == (
+        "ff565babbfe8f5a1e3bb178fadbac7b6765a1ebc82a26722909850ff935ca0fb")
 
 
 def test_provenance_is_derived_from_the_grid():
