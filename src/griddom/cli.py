@@ -11,7 +11,7 @@ import json
 import sys
 import time
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import fields
 
 from .construction import MIN_SIDE, construct, gamma_formula
 from .grid import GridDims
@@ -21,10 +21,10 @@ from .render import (document_dims, document_to_pattern, dumps_pattern,
 from .verify import corner_multiplicity_check, count_cross_check, verify_pattern
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-# Largest m*n that verify, sweep and construct --format ascii/svg accept, and
-# largest member count that construct --format json, crosscheck and bench
-# accept: their memory grows with it, so a larger grid is refused before
-# anything is built.
+# Largest m*n that verify, sweep, oracle and construct --format ascii/svg
+# accept, and largest member count that construct --format json, crosscheck
+# and bench accept: their memory grows with it, so a larger grid is refused
+# before anything is built.
 MAX_CELLS = 25_000_000
 
 
@@ -128,12 +128,13 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    dims = GridDims(args.m, args.n)
+    dims = _within_budget(GridDims(args.m, args.n))
     if args.method == "brute":
         res = exact_gamma_bruteforce(dims, variant=args.variant)
     else:
         res = exact_gamma_dp(dims, variant=args.variant, width_cap=args.width_cap)
-    payload = asdict(res)
+    # the fields as they are: asdict would deep-copy every witness Vertex
+    payload = {f.name: getattr(res, f.name) for f in fields(res)}
     payload["dims"] = {"m": dims.m, "n": dims.n}
     payload["witness"] = ([list(v) for v in res.witness]
                           if res.witness is not None else None)

@@ -19,11 +19,11 @@ A search from the initial state finds the codes that can enter each row
 offset r (a small fraction of the 3**w or 4**w dense codes) and inverts the
 successor map into predecessor tables: preds[k][j] is the k-th predecessor
 of reachable state j. States are ordered by predecessor count, so preds[k]
-is a prefix and holds no padding. A successor is located by binary search
-over the sorted reachable codes, so the search's seen-mask is the only
-B**w array, and an index is uint16 where its row has at most 2**16 states
-(domination w <= 12, [1,2] w <= 10), int32 beyond. The tables depend only
-on (variant, w), so they are built once and kept, read-only, in a cache
+is a prefix and holds no padding. The search and the table build both
+locate a code by binary search over sorted reachable codes, so no array has
+an entry per dense code. An index is uint16 where its row has at most 2**16
+states (domination w <= 12, [1,2] w <= 10), int32 beyond. The tables depend
+only on (variant, w), so they are built once and kept, read-only, in a cache
 bounded by TABLE_CACHE_BYTES. Each cell step is then a gather-min over at
 most five (domination) or three ([1,2]) such rows, plus 1 on the states
 whose new digit r is 0, i.e. where a member is placed. Back-pointers are the
@@ -54,10 +54,10 @@ from .grid import GridDims, Vertex
 
 BRUTE_FORCE_CELL_CAP = 20
 DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
-# ceiling on any width_cap, the width of the optional 16x16 run: the
-# reachable-state search allocates one dense mask entry per frontier code, so
-# any variant is refused past 3**MAX_WIDTH codes ([1,2] from width 13; 4**16
-# codes of 2 bytes would be 8 GiB)
+# ceiling on any width_cap, the width of the optional 16x16 run: any variant
+# is refused past 3**MAX_WIDTH codes ([1,2] from width 13), which keeps every
+# code within int32 (4**16 is not) and the tables at about 218 MB (domination
+# width 16)
 MAX_WIDTH = 16
 BACKPOINTER_BUDGET = 256 * 2**20   # bytes
 # domination widths <= 13 and [1,2] widths <= 10 take 20.8 MB of tables and
@@ -212,28 +212,28 @@ def _reachable_states(rule, width: int, init: int):
 
     Only newly found states are propagated, so the search stops at the first
     step that finds nothing new: every later step would start from nothing.
-    One dense seen-mask, one bit per row offset, is the only B**w array.
+    A candidate is looked up among the states already found for its row
+    offset by binary search, and the new ones are merged in, so each row's
+    array stays sorted and no array has an entry per dense code.
     """
-    seen = np.zeros(rule[0].size ** width,
-                    dtype=np.min_scalar_type((1 << width) - 1))
-    seen[init] = 1
     # exact_gamma_dp's 3**MAX_WIDTH ceiling keeps every code within int32,
     # and the successor rule keeps int32 codes int32
-    found = [[np.array([init], dtype=np.int32)]] + [[] for _ in range(width - 1)]
-    fresh, r = found[0][0], 0
+    found = [np.array([init], np.int32)] + [np.empty(0, np.int32)] * (width - 1)
+    fresh, r = found[0], 0
     while fresh.size:
         nxt = (r + 1) % width
         cand = np.concatenate(_successors(rule, fresh, r))
-        cand = cand[cand >= 0]
-        cand = np.sort(cand[(seen[cand] & (1 << nxt)) == 0])
-        fresh = cand[np.diff(cand, prepend=-1) != 0]
-        seen[fresh] |= 1 << nxt
-        found[nxt].append(fresh)
+        cand = np.sort(cand[cand >= 0])
+        first = np.ones(cand.size, dtype=bool)   # first of a run of equal codes
+        np.not_equal(cand[1:], cand[:-1], out=first[1:])
+        fresh = cand[first]
+        known = found[nxt]
+        if known.size:
+            at = np.searchsorted(known, fresh)
+            fresh = fresh[known.take(at, mode="clip") != fresh]
+        # a stable sort of two sorted runs is a merge
+        found[nxt] = np.sort(np.concatenate((known, fresh)), kind="stable")
         r = nxt
-    del seen
-    for r, chunks in enumerate(found):
-        found[r] = np.concatenate(chunks)
-        found[r].sort()
     return found
 
 
@@ -255,8 +255,8 @@ def _predecessor_tables(rule, states, width: int):
     entering row 0 in table order.
 
     A successor code is found among the sorted states entering row r + 1 by
-    binary search, so no B**w array is allocated here, and each states[r]
-    but the first is released once its tables are built.
+    binary search, so no array has an entry per dense code, and each
+    states[r] but the first is released once its tables are built.
     """
     base = rule[0].size
     tables = []
@@ -447,11 +447,12 @@ def exact_gamma_dp(
     domination width <= 13 and [1,2] width <= 10 fits, 26.6 MB together,
     and a width-16 set is rebuilt on each call). Predecessor indices are
     uint16 where a row has at most 2**16 states (domination width <= 12,
-    [1,2] width <= 10) and int32 beyond. The only B**width array is the
-    reachable-state search's seen-mask. Each entry also holds the first
-    P = D * (width // D) columns, swept from the start state when the
-    tables are built (their values and P / D log bytes per row offset), so
-    a solve sweeps only the length - P columns past them. `work` counts the
+    [1,2] width <= 10) and int32 beyond. No array has an entry per dense
+    code: every code is located by binary search over sorted reachable
+    codes. Each entry also holds the first P = D * (width // D) columns,
+    swept from the start state when the tables are built (their values and
+    P / D log bytes per row offset), so a solve sweeps only the length - P
+    columns past them. `work` counts the
     (reachable state, cell) pairs of all length columns, the prefix's
     included, `row_states[r]` is the reachable set entering row offset r
     and `states` its maximum.

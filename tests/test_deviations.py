@@ -36,6 +36,16 @@ def test_deviation_ids_for_class():
     assert "DEV-T2-MID-N1" not in class_edit((1, 0))[0]
 
 
+def test_no_two_records_of_a_class_set_the_same_edit_key():
+    """class_edit merges a class's records with dict.update, so a key set by
+    two of them would be decided silently by their order in the ledger."""
+    for cls in [(i, j) for i in range(5) for j in range(5)]:
+        ids, merged = class_edit(cls)
+        keys = [k for e in DEVIATIONS if e.id in ids for k in e.edit]
+        assert len(keys) == len(set(keys)), (cls, ids, keys)
+        assert set(keys) == set(merged)
+
+
 def test_counterexamples_replay_against_baseline():
     """Each table-correction entry's counterexamples, one grid per class it
     covers, must really occur when the baseline tables are used, and

@@ -209,8 +209,8 @@ def test_dp_width_caps():
 
 def test_dp_width_ceiling_refuses_before_any_table(capsys):
     """A width cap does not lift the ceiling of 3**MAX_WIDTH dense codes:
-    domination at width 17 would allocate a 3**17-entry mask (about 520 MB),
-    [1,2] at width 16 a 4**16-entry one (8 GiB), before any relaxation."""
+    domination at width 17 and [1,2] at width 16 (whose 4**16 codes overflow
+    int32) are refused before any table is built."""
     assert oracle.MAX_WIDTH == 16
     for variant, width, cli_side in (("domination", 17, "20"), ("one-two", 16, "16")):
         tracemalloc.start()
@@ -385,6 +385,21 @@ def test_dp_cold_table_build_allocates_no_dense_lookup():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_dp_cold_search_allocates_no_dense_mask():
+    """A cold ([1,2], 10) reachable-state search peaks at about 2.8 MB; with a
+    dense seen-mask over the 4**10 codes it peaked at about 4.6 MB."""
+    rule = oracle._RULES["one-two"]
+    tracemalloc.start()
+    try:
+        states = oracle._reachable_states(rule, 10, (4 ** 10 - 1) // 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [s.size for s in states] == list(
+        exact_gamma_dp(GridDims(10, 10), "one-two").row_states)
+    assert peak < 3.5e6, peak
 
 
 def test_one_two_at_least_domination():

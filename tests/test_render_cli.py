@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -7,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from griddom import (GridDims, construct, count_cross_check, document_to_pattern,
-                     dumps_document, pattern_to_document, render_ascii, render_svg)
+from griddom import (GridDims, OracleResult, construct, count_cross_check,
+                     document_to_pattern, dumps_document, exact_gamma_dp,
+                     pattern_to_document, render_ascii, render_svg)
 from griddom import cli
 from griddom.cli import main
 from griddom.construction import PatternSet
@@ -202,6 +204,31 @@ def test_cli_oracle_dp_reports_states(capsys):
 
 def test_cli_oracle_capacity(capsys):
     assert main(["oracle", "--m", "13", "--n", "14"]) == 2
+
+
+def test_cli_oracle_refuses_grids_over_the_cell_budget(capsys, monkeypatch):
+    # the DP's log and witness grow with m*n, so a grid over the budget is
+    # refused before any table or log is built, however narrow it is
+    monkeypatch.setattr(cli, "MAX_CELLS", 100)
+    assert main(["oracle", "--m", "2", "--n", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2x60 grid has 120 cells" in captured.err
+    assert main(["oracle", "--m", "2", "--n", "50"]) == 0
+
+
+def test_cli_oracle_payload_is_the_result_fields(capsys):
+    assert main(["oracle", "--m", "3", "--n", "7", "--variant", "one-two"]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    res = exact_gamma_dp(GridDims(3, 7), "one-two")
+    assert set(payload) == {f.name for f in dataclasses.fields(OracleResult)}
+    assert payload["dims"] == {"m": 3, "n": 7}
+    assert payload["witness"] == [[v.row, v.col] for v in res.witness]
+    # the same text as a deep copy of the result with those two fields set
+    ref = dataclasses.asdict(res)
+    ref["dims"], ref["witness"] = payload["dims"], payload["witness"]
+    assert text == json.dumps(ref, sort_keys=True, indent=1) + "\n"
 
 
 def test_cli_verify_self(capsys):
