@@ -35,12 +35,14 @@ columns, the most with K**D <= 256 (3 and 5 columns). The log is dropped
 above a byte budget, in which case only the value is returned.
 
 Every solve of width w sweeps at least w columns from the same start state,
-so the first P = D * (w // D) columns are swept once, when the tables are
-built, and cached with them: the values after column P - 1 and each row
-offset's first P / D log bytes, a (P / D, choices) byte array (P = 0 below
-D). A solve starts from those values and sweeps only columns P onward, into
-one preallocated (ceil(columns / D) - P / D, choices) byte array per row
-offset; the witness is read back through both.
+so the first w columns are swept once, when the tables are built, and
+cached with them: the values after column w - 1 and each row offset's
+ceil(w / D) log bytes, a (ceil(w / D), choices) byte array whose last row
+is partly filled unless D divides w. A solve starts from those values and
+sweeps only columns w onward, into one preallocated
+(ceil(columns / D) - w // D, choices) byte array per row offset whose first
+row starts as a copy of the prefix's partly filled one; the witness is read
+back through the prefix's w // D whole bytes and then the solve's log.
 """
 
 import threading
@@ -53,6 +55,10 @@ import numpy as np
 from .grid import GridDims, Vertex
 
 BRUTE_FORCE_CELL_CAP = 20
+# largest m*n that exact_gamma_dp accepts: on thin strips its Python loops
+# cost 20-40 us per cell whatever the state count (2x500000 took 40 s on a
+# 2-vCPU VM), so a larger grid is refused rather than run for minutes
+DP_CELL_CAP = 10**6
 DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
 # ceiling on any width_cap, the width of the optional 16x16 run: any variant
 # is refused past 3**MAX_WIDTH codes ([1,2] from width 13), which keeps every
@@ -61,8 +67,8 @@ DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
 MAX_WIDTH = 16
 BACKPOINTER_BUDGET = 256 * 2**20   # bytes
 # domination widths <= 13 and [1,2] widths <= 10 take 20.8 MB of tables and
-# 5.8 MB of swept prefixes (the oracle-dp widths, domination 11-13 and [1,2]
-# 9-10, 19.9 + 5.5 MB); one width-16 set (about 218 MB) is never kept
+# 6.7 MB of swept prefixes (the oracle-dp widths, domination 11-13 and [1,2]
+# 9-10, 19.9 + 6.3 MB); one width-16 set (about 218 MB) is never kept
 TABLE_CACHE_BYTES = 64 * 2**20
 VARIANTS = ("domination", "one-two")
 _INF = np.int32(2**30)
@@ -308,11 +314,14 @@ def _log_layout(tables):
     return choices, radix, per_byte
 
 
-def _sweep(tables, start, columns: int, logs, radix: int, per_byte: int):
-    """Relax `columns` columns from `start`, the values of the states
-    entering row 0, and return the values of those states after them.
-    Unless logs is None, column col's k for row offset r is packed into
-    logs[r][col // per_byte]; col counts from this sweep's first column."""
+def _sweep(tables, start, columns: int, logs, radix: int, per_byte: int,
+           first: int):
+    """Relax the `columns` columns from column `first` on, from `start`, the
+    values of the states entering row 0, and return the values of those
+    states after them. Unless logs is None, column col's k for row offset r
+    is digit col % per_byte of logs[r][col // per_byte - first // per_byte]:
+    logs[r][0] is the byte that column first falls in, and holds the digits
+    of its earlier columns already."""
     top = max(place.size for _, place in tables)
     values = np.full(top, _INF, dtype=np.int32)
     values[:start.size] = start
@@ -321,8 +330,10 @@ def _sweep(tables, start, columns: int, logs, radix: int, per_byte: int):
     better = np.empty(top, dtype=np.uint8)
     if logs is not None:
         digits = np.empty(max(log.shape[1] for log in logs), dtype=np.uint8)
-    for col in range(columns):
+    skip = first // per_byte
+    for col in range(first, first + columns):
         byte, digit = divmod(col, per_byte)
+        byte -= skip
         for r, (preds, place) in enumerate(tables):
             out = spare[:place.size]
             head = preds[0].size
@@ -363,12 +374,13 @@ def _frontier_tables(variant: str, width: int):
     final_ok marks those of them that may end the sweep (no digit B - 1);
     row_states[r] is the size of the reachable set entering row offset r.
     Every solve of this width sweeps at least `width` columns from the start
-    state, so the first P = D * (width // D) columns are swept here, D the
-    columns per log byte: prefix holds the values of the states entering
-    row 0 after column P - 1, and prefix_logs[r] the P / D log bytes of row
-    offset r. Every array is read-only. Entries are kept, least recently
-    used evicted first, while their arrays total at most TABLE_CACHE_BYTES;
-    a larger entry is returned without being kept.
+    state, so those columns are swept here: prefix holds the values of the
+    states entering row 0 after column width - 1, and prefix_logs[r] the
+    ceil(width / D) log bytes of row offset r, D the columns per log byte;
+    the last is partly filled unless D divides width. Every array is
+    read-only. Entries are kept, least recently used evicted first, while
+    their arrays total at most TABLE_CACHE_BYTES; a larger entry is
+    returned without being kept.
     """
     key = (variant, width)
     with _table_cache_lock:
@@ -387,12 +399,12 @@ def _frontier_tables(variant: str, width: int):
     for j in range(width):
         final_ok &= final_codes // base ** j % base != base - 1
     choices, radix, per_byte = _log_layout(tables)
-    skip = width // per_byte            # log bytes that every solve fills
     start = np.full(final_codes.size, _INF, dtype=np.int32)
     start[init_index] = 0
-    prefix_logs = [np.zeros((skip, c), dtype=np.uint8) for c in choices]
-    prefix = _sweep(tables, start, skip * per_byte, prefix_logs, radix,
-                    per_byte).copy()
+    prefix_logs = [np.zeros((-(-width // per_byte), c), dtype=np.uint8)
+                   for c in choices]
+    prefix = _sweep(tables, start, width, prefix_logs, radix, per_byte,
+                    0).copy()
     arrays = [final_ok, prefix, *prefix_logs] + [
         a for preds, place in tables for a in (*preds, place)]
     for a in arrays:
@@ -413,11 +425,12 @@ def _reconstruct(tables, prefix_logs, logs, length: int, radix: int,
     """Follow the back-pointers from the final state to the initial one.
     The k of row offset r in column col is digit col % per_byte, base radix,
     of log byte col // per_byte, read from prefix_logs[r] for the cached
-    prefix's bytes and from logs[r] past them; an index past that row has
-    one predecessor, k = 0."""
+    prefix's width // per_byte whole bytes and from logs[r] past them (its
+    first row completes the prefix's partly filled one); an index past
+    that row has one predecessor, k = 0."""
     members = []
     index = final_index
-    skip = prefix_logs[0].shape[0]
+    skip = len(tables) // per_byte
     for col in range(length - 1, -1, -1):
         byte, digit = divmod(col, per_byte)
         weight = radix ** digit
@@ -439,28 +452,32 @@ def exact_gamma_dp(
     """Exact minimum via the frontier DP; witness via back-pointers.
 
     The sweep always runs along the longer dimension so the frontier width is
-    min(m, n). Exceeding the width cap, or 3**MAX_WIDTH dense codes under any
-    cap, raises CapacityError naming the dense bound B**width on the
-    frontier codes. The DP runs over reachable frontier states only, through
-    predecessor tables built once per (variant, width) and kept, read-only,
-    while all kept entries total at most TABLE_CACHE_BYTES (64 MiB; every
-    domination width <= 13 and [1,2] width <= 10 fits, 26.6 MB together,
-    and a width-16 set is rebuilt on each call). Predecessor indices are
+    min(m, n). A grid of more than DP_CELL_CAP cells raises CapacityError
+    naming its cells and the bound. Exceeding the width cap, or
+    3**MAX_WIDTH dense codes under any cap, raises CapacityError naming the
+    dense bound B**width on the frontier codes. All three are checked
+    before any table or log is built. The DP runs over reachable frontier
+    states only, through predecessor tables built once per (variant,
+    width) and kept, read-only, while all kept entries total at most
+    TABLE_CACHE_BYTES (64 MiB; every domination width <= 13 and [1,2]
+    width <= 10 fits, 27.5 MB together, and a width-16 set is rebuilt on
+    each call). Predecessor indices are
     uint16 where a row has at most 2**16 states (domination width <= 12,
     [1,2] width <= 10) and int32 beyond. No array has an entry per dense
     code: every code is located by binary search over sorted reachable
-    codes. Each entry also holds the first P = D * (width // D) columns,
-    swept from the start state when the tables are built (their values and
-    P / D log bytes per row offset), so a solve sweeps only the length - P
-    columns past them. `work` counts the
-    (reachable state, cell) pairs of all length columns, the prefix's
-    included, `row_states[r]` is the reachable set entering row offset r
-    and `states` its maximum.
+    codes. Each entry also holds the first width columns, swept from the
+    start state when the tables are built (their values and ceil(width / D)
+    log bytes per row offset, the last partly filled unless D divides
+    width), so a solve sweeps only the length - width columns past them,
+    and its log starts with a copy of that partly filled byte. `work`
+    counts the (reachable state, cell) pairs of all length columns, the
+    prefix's included, `row_states[r]` is the reachable set entering row
+    offset r and `states` its maximum.
     `backpointer_bytes` is the log size compared with BACKPOINTER_BUDGET:
     for each state with more than one predecessor, one byte per D columns,
     ceil(length / D) bytes, where D is 3 for domination and 5 for [1,2] (the
     most base-K digits a byte holds, K the largest predecessor count), kept
-    as one array per row offset; the prefix's P / D bytes count too. When
+    as one array per row offset; the prefix's bytes count too. When
     the log would exceed the budget only the value is computed and the
     result is flagged witness_dropped.
     """
@@ -468,6 +485,10 @@ def exact_gamma_dp(
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
     base = _RULES[variant][0].size
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
+    if width * length > DP_CELL_CAP:
+        raise CapacityError(
+            f"{dims.m}x{dims.n} has {width * length} > {DP_CELL_CAP} cells "
+            "(DP_CELL_CAP)")
     if base**width > 3**MAX_WIDTH:
         raise CapacityError(
             f"frontier width {width} has {base}**{width} = {base**width} frontier "
@@ -485,13 +506,16 @@ def exact_gamma_dp(
     log_rows = -(-length // per_byte)
     log_bytes = sum(choices) * log_rows
     keep_bp = log_bytes <= BACKPOINTER_BUDGET
-    # the cached prefix holds the first skip log bytes' columns; logs[r][b]
-    # is byte skip + b of row offset r
-    skip = prefix_logs[0].shape[0]
-    logs = ([np.zeros((log_rows - skip, c), dtype=np.uint8) for c in choices]
-            if keep_bp else None)
-    values = _sweep(tables, prefix, length - skip * per_byte, logs, radix,
-                    per_byte)
+    logs = None
+    if keep_bp:
+        # logs[r][b] is byte skip + b of row offset r; the prefix's partly
+        # filled last byte, if any, is the one column width falls in
+        skip = width // per_byte
+        logs = [np.zeros((log_rows - skip, c), dtype=np.uint8) for c in choices]
+        for log, pre in zip(logs, prefix_logs):
+            log[:len(pre) - skip] = pre[skip:]
+    values = _sweep(tables, prefix, length - width, logs, radix, per_byte,
+                    width)
     finals = np.where(final_ok, values, _INF)
     final_index = int(np.argmin(finals))
     value = int(finals[final_index])

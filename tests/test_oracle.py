@@ -159,15 +159,32 @@ def test_dp_tables_are_pinned():
     for variant, top in (("domination", 9), ("one-two", 8)):
         for width in range(1, top + 1):
             oracle._table_cache.pop((variant, width), None)
-            tables, init_index, final_ok, row_states, prefix, prefix_logs = \
+            tables, init_index, final_ok, row_states, _, _ = \
                 oracle._frontier_tables(variant, width)
             digest.update(repr((variant, width, init_index, row_states)).encode())
             arrays = [a for preds, place in tables for a in (*preds, place)]
-            for a in arrays + [final_ok, prefix, *prefix_logs]:
+            for a in arrays + [final_ok]:
                 digest.update(repr((a.dtype.str, a.shape)).encode())
                 digest.update(np.ascontiguousarray(a).tobytes())
     assert digest.hexdigest() == (
-        "79fa44f811dd327c7f36baa12987538ba6ea504fde87586674c9e48dfab42edb")
+        "97c03b5efbfabda3547951efebca2d7222596859665ff10bb3d3b32f5cb3f40f")
+
+
+def test_dp_swept_prefixes_are_pinned():
+    """The cached prefix of every width, the values after its first width
+    columns and its log bytes (the last partly filled where the columns per
+    byte do not divide the width), pinned as one SHA-256 over the same
+    widths as the tables."""
+    digest = hashlib.sha256()
+    for variant, top in (("domination", 9), ("one-two", 8)):
+        for width in range(1, top + 1):
+            oracle._table_cache.pop((variant, width), None)
+            *_, prefix, prefix_logs = oracle._frontier_tables(variant, width)
+            for a in [prefix, *prefix_logs]:
+                digest.update(repr((a.dtype.str, a.shape)).encode())
+                digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == (
+        "293bd37a7748517e02b6d8f8da124e07385a551a6575822971c27095df8dfa95")
 
 
 def test_dp_reachable_state_counts():
@@ -226,6 +243,28 @@ def test_dp_width_ceiling_refuses_before_any_table(capsys):
         assert "MAX_WIDTH" in capsys.readouterr().err
 
 
+def test_dp_cell_cap_refuses_before_any_table(capsys, monkeypatch):
+    """A grid over DP_CELL_CAP cells is refused before any table or log is
+    built, however narrow: a thin strip costs tens of microseconds per cell.
+    The CLI's 2x12500000 is within its own MAX_CELLS budget, and exits 2
+    without output at once."""
+    assert oracle.DP_CELL_CAP == 10**6
+    oracle._table_cache.clear()
+    with pytest.raises(CapacityError, match="1000002 > 1000000 cells"):
+        exact_gamma_dp(GridDims(2, 500001))
+    assert not oracle._table_cache
+    assert main(["oracle", "--m", "2", "--n", "12500000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "25000000 > 1000000 cells" in captured.err
+    assert not oracle._table_cache
+    # the bound itself is accepted
+    monkeypatch.setattr(oracle, "DP_CELL_CAP", 20)
+    assert exact_gamma_dp(GridDims(2, 10)).value == 6
+    with pytest.raises(CapacityError):
+        exact_gamma_dp(GridDims(3, 7))
+
+
 def test_dp_witness_dropped_over_budget(monkeypatch):
     full = exact_gamma_dp(GridDims(4, 8))
     monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", 64)
@@ -272,13 +311,13 @@ def test_dp_cold_and_warm_tables_agree():
 
 
 def count_swept_columns(monkeypatch):
-    """Record the column count of every `_sweep` call."""
+    """Record the (first column, column count) of every `_sweep` call."""
     swept = []
     sweep = oracle._sweep
 
-    def counting(tables, start, columns, *rest):
-        swept.append(columns)
-        return sweep(tables, start, columns, *rest)
+    def counting(tables, start, columns, logs, radix, per_byte, first):
+        swept.append((first, columns))
+        return sweep(tables, start, columns, logs, radix, per_byte, first)
 
     monkeypatch.setattr(oracle, "_sweep", counting)
     return swept
@@ -286,20 +325,22 @@ def count_swept_columns(monkeypatch):
 
 @pytest.mark.parametrize("variant,width,prefix", [
     ("domination", 12, 12), ("one-two", 10, 10), ("one-two", 5, 5),
-    ("domination", 2, 0), ("one-two", 4, 0)])
+    ("domination", 2, 2), ("one-two", 4, 4), ("domination", 4, 4),
+    ("domination", 11, 11), ("one-two", 3, 3), ("one-two", 9, 9)])
 def test_dp_solves_sweep_only_the_columns_past_the_cached_prefix(
         monkeypatch, variant, width, prefix):
-    """The table build sweeps the first P = D * (width // D) columns, D the
-    columns per log byte (3 for domination, 5 for [1,2]), and a solve only
-    the rest: with P = width a square solve sweeps no column of its own,
-    and below D nothing is cached. A cold solve (tables built) equals a
-    warm one in every field."""
+    """The table build sweeps the first prefix = `width` columns and a solve
+    only the rest, from column prefix on: a square solve sweeps no column of
+    its own. Where the columns per log byte (3 for domination, 5 for [1,2]) do
+    not divide the width, the prefix's last log byte is partly filled and
+    the solve completes it. A cold solve (tables built) equals a warm one
+    in every field."""
     swept = count_swept_columns(monkeypatch)
     for m, n in ((width, width), (width, width + 1), (width + 1, width)):
         oracle._table_cache.clear()
         cold = exact_gamma_dp(GridDims(m, n), variant)
         warm = exact_gamma_dp(GridDims(m, n), variant)
-        assert swept == [prefix] + 2 * [max(m, n) - prefix], (m, n)
+        assert swept == [(0, prefix)] + 2 * [(prefix, max(m, n) - prefix)], (m, n)
         swept.clear()
         assert warm == cold
         assert len(warm.witness) == warm.value
