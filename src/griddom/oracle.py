@@ -36,13 +36,9 @@ above a byte budget, in which case only the value is returned.
 
 Every solve of width w sweeps at least w columns from the same start state,
 so the first w columns are swept once, when the tables are built, and
-cached with them: the values after column w - 1 and each row offset's
-ceil(w / D) log bytes, a (ceil(w / D), choices) byte array whose last row
-is partly filled unless D divides w. A solve starts from those values and
-sweeps only columns w onward, into one preallocated
-(ceil(columns / D) - w // D, choices) byte array per row offset whose first
-row starts as a copy of the prefix's partly filled one; the witness is read
-back through the prefix's w // D whole bytes and then the solve's log.
+cached with their values and log; a solve sweeps only the columns past
+them. Each sweep's log is packed from its own first column, and a witness
+is read back through the sweeps' logs in reverse.
 """
 
 import threading
@@ -85,8 +81,11 @@ class OracleResult:
     the columns of the cached prefix included. For the DP,
     `row_states[r]` is the number of reachable frontier codes entering row
     offset r, `states` its maximum, and `backpointer_bytes` the packed
-    witness log's size, compared with the budget; they are (), 0 and 0 for
-    brute force."""
+    witness log's size over all length columns: ceil(length / D) bytes for
+    each state with a choice (see exact_gamma_dp). It is the figure compared
+    with BACKPOINTER_BUDGET; the solve allocates ceil((length - w) / D) of
+    those bytes per state, and the rest sit in the cached prefix of the
+    first w columns. They are (), 0 and 0 for brute force."""
 
     dims: GridDims
     variant: str
@@ -314,26 +313,26 @@ def _log_layout(tables):
     return choices, radix, per_byte
 
 
-def _sweep(tables, start, columns: int, logs, radix: int, per_byte: int,
-           first: int):
-    """Relax the `columns` columns from column `first` on, from `start`, the
-    values of the states entering row 0, and return the values of those
-    states after them. Unless logs is None, column col's k for row offset r
-    is digit col % per_byte of logs[r][col // per_byte - first // per_byte]:
-    logs[r][0] is the byte that column first falls in, and holds the digits
-    of its earlier columns already."""
+def _sweep(tables, start, columns: int, keep_log: bool):
+    """Relax `columns` columns from `start`, the values of the states
+    entering row 0, and return (the values of those states after them,
+    logs). With keep_log, logs[r] is a (ceil(columns / per_byte), choices[r])
+    byte array whose byte col // per_byte holds, as digit col % per_byte, the
+    k of row offset r in this sweep's column col; otherwise logs is None."""
+    choices, radix, per_byte = _log_layout(tables)
+    logs = None
+    if keep_log:
+        logs = [np.zeros((-(-columns // per_byte), c), dtype=np.uint8)
+                for c in choices]
+        digits = np.empty(max(choices), dtype=np.uint8)
     top = max(place.size for _, place in tables)
     values = np.full(top, _INF, dtype=np.int32)
     values[:start.size] = start
     spare = np.empty(top, dtype=np.int32)
     gathered = np.empty(top, dtype=np.int32)
     better = np.empty(top, dtype=np.uint8)
-    if logs is not None:
-        digits = np.empty(max(log.shape[1] for log in logs), dtype=np.uint8)
-    skip = first // per_byte
-    for col in range(first, first + columns):
+    for col in range(columns):
         byte, digit = divmod(col, per_byte)
-        byte -= skip
         for r, (preds, place) in enumerate(tables):
             out = spare[:place.size]
             head = preds[0].size
@@ -362,7 +361,7 @@ def _sweep(tables, start, columns: int, logs, radix: int, per_byte: int,
                 np.add(logs[r][byte], bp, out=logs[r][byte])
             np.add(out, place, out=out)
             values, spare = spare, values
-    return values[:tables[-1][1].size]
+    return values[:tables[-1][1].size], logs
 
 
 def _frontier_tables(variant: str, width: int):
@@ -374,12 +373,10 @@ def _frontier_tables(variant: str, width: int):
     final_ok marks those of them that may end the sweep (no digit B - 1);
     row_states[r] is the size of the reachable set entering row offset r.
     Every solve of this width sweeps at least `width` columns from the start
-    state, so those columns are swept here: prefix holds the values of the
-    states entering row 0 after column width - 1, and prefix_logs[r] the
-    ceil(width / D) log bytes of row offset r, D the columns per log byte;
-    the last is partly filled unless D divides width. Every array is
-    read-only. Entries are kept, least recently used evicted first, while
-    their arrays total at most TABLE_CACHE_BYTES; a larger entry is
+    state, so those columns are swept here as their own sweep: prefix and
+    prefix_logs are its values and log, as `_sweep` returns them. Every
+    array is read-only. Entries are kept, least recently used evicted first,
+    while their arrays total at most TABLE_CACHE_BYTES; a larger entry is
     returned without being kept.
     """
     key = (variant, width)
@@ -398,13 +395,10 @@ def _frontier_tables(variant: str, width: int):
     final_ok = np.ones(final_codes.size, dtype=bool)
     for j in range(width):
         final_ok &= final_codes // base ** j % base != base - 1
-    choices, radix, per_byte = _log_layout(tables)
     start = np.full(final_codes.size, _INF, dtype=np.int32)
     start[init_index] = 0
-    prefix_logs = [np.zeros((-(-width // per_byte), c), dtype=np.uint8)
-                   for c in choices]
-    prefix = _sweep(tables, start, width, prefix_logs, radix, per_byte,
-                    0).copy()
+    prefix, prefix_logs = _sweep(tables, start, width, True)
+    prefix = prefix.copy()          # not a view of the sweep's larger buffer
     arrays = [final_ok, prefix, *prefix_logs] + [
         a for preds, place in tables for a in (*preds, place)]
     for a in arrays:
@@ -420,27 +414,28 @@ def _frontier_tables(variant: str, width: int):
     return entry
 
 
-def _reconstruct(tables, prefix_logs, logs, length: int, radix: int,
-                 per_byte: int, final_index: int):
-    """Follow the back-pointers from the final state to the initial one.
-    The k of row offset r in column col is digit col % per_byte, base radix,
-    of log byte col // per_byte, read from prefix_logs[r] for the cached
-    prefix's width // per_byte whole bytes and from logs[r] past them (its
-    first row completes the prefix's partly filled one); an index past
-    that row has one predecessor, k = 0."""
+def _reconstruct(tables, segments, final_index: int):
+    """Follow the back-pointers from the final state to the initial one,
+    through the (logs, columns) of each sweep, in sweep order, read in
+    reverse. Each sweep's log is packed from its own first column, as
+    `_sweep` writes it; an index past a log row has one predecessor, k = 0.
+    Returns the (row offset, column) of every member and the start index."""
+    _, radix, per_byte = _log_layout(tables)
     members = []
     index = final_index
-    skip = len(tables) // per_byte
-    for col in range(length - 1, -1, -1):
-        byte, digit = divmod(col, per_byte)
-        weight = radix ** digit
-        for r in range(len(tables) - 1, -1, -1):
-            preds, place = tables[r]
-            if place[index]:
-                members.append((r, col))
-            bp = prefix_logs[r][byte] if byte < skip else logs[r][byte - skip]
-            k = int(bp[index]) // weight % radix if index < bp.size else 0
-            index = int(preds[k][index])
+    first = sum(columns for _, columns in segments)
+    for logs, columns in reversed(segments):
+        first -= columns
+        for col in range(columns - 1, -1, -1):
+            byte, digit = divmod(col, per_byte)
+            weight = radix ** digit
+            for r in range(len(tables) - 1, -1, -1):
+                preds, place = tables[r]
+                if place[index]:
+                    members.append((r, first + col))
+                bp = logs[r][byte]
+                k = int(bp[index]) // weight % radix if index < bp.size else 0
+                index = int(preds[k][index])
     return members, index
 
 
@@ -465,21 +460,21 @@ def exact_gamma_dp(
     uint16 where a row has at most 2**16 states (domination width <= 12,
     [1,2] width <= 10) and int32 beyond. No array has an entry per dense
     code: every code is located by binary search over sorted reachable
-    codes. Each entry also holds the first width columns, swept from the
-    start state when the tables are built (their values and ceil(width / D)
-    log bytes per row offset, the last partly filled unless D divides
-    width), so a solve sweeps only the length - width columns past them,
-    and its log starts with a copy of that partly filled byte. `work`
-    counts the (reachable state, cell) pairs of all length columns, the
-    prefix's included, `row_states[r]` is the reachable set entering row
-    offset r and `states` its maximum.
-    `backpointer_bytes` is the log size compared with BACKPOINTER_BUDGET:
-    for each state with more than one predecessor, one byte per D columns,
-    ceil(length / D) bytes, where D is 3 for domination and 5 for [1,2] (the
-    most base-K digits a byte holds, K the largest predecessor count), kept
-    as one array per row offset; the prefix's bytes count too. When
-    the log would exceed the budget only the value is computed and the
-    result is flagged witness_dropped.
+    codes. Each entry also holds its sweep of the first width columns from
+    the start state, so a solve sweeps only the length - width columns past
+    them. Each sweep's log is packed from its own first column, and the
+    witness is read back through the solve's log and then the prefix's.
+    `work` counts the (reachable state, cell) pairs of all length columns,
+    the prefix's included, `row_states[r]` is the reachable set entering
+    row offset r and `states` its maximum. `backpointer_bytes` is the log
+    size compared with BACKPOINTER_BUDGET: for each state with more than
+    one predecessor, one byte per D columns, ceil(length / D) bytes, where
+    D is 3 for domination (5 at width 1) and 5 for [1,2] (the most base-K
+    digits a byte holds, K the largest predecessor count); the solve
+    allocates ceil((length - width) / D) of them and the prefix holds the
+    rest.
+    When the log would exceed the budget only the value is computed and
+    the result is flagged witness_dropped.
     """
     _check_variant(variant)
     cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
@@ -502,20 +497,10 @@ def exact_gamma_dp(
         )
     tables, init_index, final_ok, row_states, prefix, prefix_logs = \
         _frontier_tables(variant, width)
-    choices, radix, per_byte = _log_layout(tables)
-    log_rows = -(-length // per_byte)
-    log_bytes = sum(choices) * log_rows
+    choices, _, per_byte = _log_layout(tables)
+    log_bytes = sum(choices) * -(-length // per_byte)
     keep_bp = log_bytes <= BACKPOINTER_BUDGET
-    logs = None
-    if keep_bp:
-        # logs[r][b] is byte skip + b of row offset r; the prefix's partly
-        # filled last byte, if any, is the one column width falls in
-        skip = width // per_byte
-        logs = [np.zeros((log_rows - skip, c), dtype=np.uint8) for c in choices]
-        for log, pre in zip(logs, prefix_logs):
-            log[:len(pre) - skip] = pre[skip:]
-    values = _sweep(tables, prefix, length - width, logs, radix, per_byte,
-                    width)
+    values, logs = _sweep(tables, prefix, length - width, keep_bp)
     finals = np.where(final_ok, values, _INF)
     final_index = int(np.argmin(finals))
     value = int(finals[final_index])
@@ -523,8 +508,8 @@ def exact_gamma_dp(
         raise AssertionError("no feasible completion; the DP is inconsistent")
     witness = None
     if keep_bp:
-        cells, start = _reconstruct(tables, prefix_logs, logs, length, radix,
-                                    per_byte, final_index)
+        cells, start = _reconstruct(
+            tables, ((prefix_logs, width), (logs, length - width)), final_index)
         if start != init_index:
             raise AssertionError("back-pointer chain broken")
         if dims.m <= dims.n:

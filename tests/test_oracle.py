@@ -311,13 +311,16 @@ def test_dp_cold_and_warm_tables_agree():
 
 
 def count_swept_columns(monkeypatch):
-    """Record the (first column, column count) of every `_sweep` call."""
+    """Record the (column count, log rows) of every `_sweep` call; log rows
+    is None where the sweep keeps no log."""
     swept = []
     sweep = oracle._sweep
 
-    def counting(tables, start, columns, logs, radix, per_byte, first):
-        swept.append((first, columns))
-        return sweep(tables, start, columns, logs, radix, per_byte, first)
+    def counting(tables, start, columns, keep_log):
+        values, logs = sweep(tables, start, columns, keep_log)
+        rows = None if logs is None else {log.shape[0] for log in logs}
+        swept.append((columns, rows))
+        return values, logs
 
     monkeypatch.setattr(oracle, "_sweep", counting)
     return swept
@@ -330,17 +333,25 @@ def count_swept_columns(monkeypatch):
 def test_dp_solves_sweep_only_the_columns_past_the_cached_prefix(
         monkeypatch, variant, width, prefix):
     """The table build sweeps the first prefix = `width` columns and a solve
-    only the rest, from column prefix on: a square solve sweeps no column of
-    its own. Where the columns per log byte (3 for domination, 5 for [1,2]) do
-    not divide the width, the prefix's last log byte is partly filled and
-    the solve completes it. A cold solve (tables built) equals a warm one
-    in every field."""
+    only the rest, each into a log of its own with one row per D columns
+    (3 for domination, 5 for [1,2]): a square solve sweeps no column of its
+    own and allocates no log row. Where D does not divide the width, the
+    prefix's last log row is partly filled and the solve's log still starts
+    a row of its own. A cold solve (tables built) equals a warm one in every
+    field."""
+    per_byte = {"domination": 3, "one-two": 5}[variant]
+
+    def rows(columns):
+        return {-(-columns // per_byte)}
+
     swept = count_swept_columns(monkeypatch)
     for m, n in ((width, width), (width, width + 1), (width + 1, width)):
         oracle._table_cache.clear()
         cold = exact_gamma_dp(GridDims(m, n), variant)
         warm = exact_gamma_dp(GridDims(m, n), variant)
-        assert swept == [(0, prefix)] + 2 * [(prefix, max(m, n) - prefix)], (m, n)
+        solve = max(m, n) - prefix
+        assert swept == ([(prefix, rows(prefix))]
+                         + 2 * [(solve, rows(solve))]), (m, n)
         swept.clear()
         assert warm == cold
         assert len(warm.witness) == warm.value
