@@ -15,6 +15,7 @@ from dataclasses import fields
 
 from .construction import MIN_SIDE, construct, gamma_formula
 from .grid import GridDims
+from . import oracle
 from .oracle import exact_gamma_bruteforce, exact_gamma_dp
 from .render import (document_dims, document_to_pattern, dumps_pattern,
                      render_ascii, render_svg)
@@ -132,7 +133,11 @@ def cmd_oracle(args) -> int:
     if args.method == "brute":
         res = exact_gamma_bruteforce(dims, variant=args.variant)
     else:
-        res = exact_gamma_dp(dims, variant=args.variant, width_cap=args.width_cap)
+        res = exact_gamma_dp(dims, variant=args.variant)
+    if res.witness_dropped:
+        sys.stderr.write(
+            f"note: witness dropped: its back-pointer log of {res.backpointer_bytes}"
+            f" bytes is over BACKPOINTER_BUDGET = {oracle.BACKPOINTER_BUDGET}\n")
     # the fields as they are: asdict would deep-copy every witness Vertex
     payload = {f.name: getattr(res, f.name) for f in fields(res)}
     payload["dims"] = {"m": dims.m, "n": dims.n}
@@ -295,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["domination", "one-two"],
                    default="domination")
     p.add_argument("--method", choices=["brute", "dp"], default="dp")
-    p.add_argument("--width-cap", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="construct+verify a rectangle of sizes to CSV")

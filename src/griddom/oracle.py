@@ -55,16 +55,13 @@ BRUTE_FORCE_CELL_CAP = 20
 # cost 20-40 us per cell whatever the state count (2x500000 took 40 s on a
 # 2-vCPU VM), so a larger grid is refused rather than run for minutes
 DP_CELL_CAP = 10**6
-DEFAULT_WIDTH_CAPS = {"domination": 12, "one-two": 10}
-# ceiling on any width_cap, the width of the optional 16x16 run: any variant
-# is refused past 3**MAX_WIDTH codes ([1,2] from width 13), which keeps every
-# code within int32 (4**16 is not) and the tables at about 218 MB (domination
-# width 16)
-MAX_WIDTH = 16
+# largest work, reachable states x length, that exact_gamma_dp accepts (a
+# 3-5 s sweep): it admits domination 16x16, [1,2] 14x14 and 12x1722
+DP_WORK_CAP = 2**30
 BACKPOINTER_BUDGET = 256 * 2**20   # bytes
 # domination widths <= 13 and [1,2] widths <= 10 take 20.8 MB of tables and
 # 6.7 MB of swept prefixes (the oracle-dp widths, domination 11-13 and [1,2]
-# 9-10, 19.9 + 6.3 MB); one width-16 set (about 218 MB) is never kept
+# 9-10, 19.9 + 6.3 MB); one domination width-16 entry (306 MB) is never kept
 TABLE_CACHE_BYTES = 64 * 2**20
 VARIANTS = ("domination", "one-two")
 _INF = np.int32(2**30)
@@ -78,14 +75,15 @@ class CapacityError(ValueError):
 class OracleResult:
     """One exact solve. `work` counts subsets tried (brute force) or
     (reachable state, cell) pairs relaxed (profile DP) over the whole sweep,
-    the columns of the cached prefix included. For the DP,
-    `row_states[r]` is the number of reachable frontier codes entering row
-    offset r, `states` its maximum, and `backpointer_bytes` the packed
-    witness log's size over all length columns: ceil(length / D) bytes for
-    each state with a choice (see exact_gamma_dp). It is the figure compared
-    with BACKPOINTER_BUDGET; the solve allocates ceil((length - w) / D) of
-    those bytes per state, and the rest sit in the cached prefix of the
-    first w columns. They are (), 0 and 0 for brute force."""
+    the cached prefix's columns included: the DP's is the figure compared
+    with DP_WORK_CAP, after DP_CELL_CAP and the int32 code range. For the
+    DP, `row_states[r]` is the number of reachable frontier codes entering
+    row offset r, `states` its maximum, and `backpointer_bytes` the packed
+    witness log's size over all length columns, the figure compared with
+    BACKPOINTER_BUDGET: ceil(length / D) bytes for each state with a choice
+    (see exact_gamma_dp), of which the solve allocates ceil((length - w) /
+    D) and the cached prefix holds the rest. They are (), 0 and 0 for brute
+    force."""
 
     dims: GridDims
     variant: str
@@ -212,19 +210,31 @@ def _successors(rule, codes: np.ndarray, r: int):
     return place, no_place
 
 
-def _reachable_states(rule, width: int, init: int):
+def _check_work(states: int, length: int) -> None:
+    """Refuse a sweep of `length` columns over `states` reachable states,
+    or over more, if that work passes DP_WORK_CAP."""
+    if states * length > DP_WORK_CAP:
+        raise CapacityError(
+            f"{states} reachable frontier states found x {length} columns = "
+            f"{states * length} (state, cell) pairs, over DP_WORK_CAP = "
+            f"{DP_WORK_CAP}")
+
+
+def _reachable_states(rule, width: int, init: int, length: int):
     """Sorted frontier codes that can enter each row offset r, in any column.
 
     Only newly found states are propagated, so the search stops at the first
     step that finds nothing new: every later step would start from nothing.
     A candidate is looked up among the states already found for its row
     offset by binary search, and the new ones are merged in, so each row's
-    array stays sorted and no array has an entry per dense code.
+    array stays sorted and no array has an entry per dense code. It raises
+    CapacityError once the states found, times `length`, pass DP_WORK_CAP,
+    so its arrays stay within about 16 B x DP_WORK_CAP / length.
     """
-    # exact_gamma_dp's 3**MAX_WIDTH ceiling keeps every code within int32,
-    # and the successor rule keeps int32 codes int32
+    # exact_gamma_dp checks DP_CELL_CAP, then B**width <= 2**31 - 1, which
+    # keeps every code here int32, then DP_WORK_CAP, here as states are found
     found = [np.array([init], np.int32)] + [np.empty(0, np.int32)] * (width - 1)
-    fresh, r = found[0], 0
+    fresh, r, total = found[0], 0, 1
     while fresh.size:
         nxt = (r + 1) % width
         cand = np.concatenate(_successors(rule, fresh, r))
@@ -236,6 +246,8 @@ def _reachable_states(rule, width: int, init: int):
         if known.size:
             at = np.searchsorted(known, fresh)
             fresh = fresh[known.take(at, mode="clip") != fresh]
+        total += fresh.size
+        _check_work(total, length)
         # a stable sort of two sorted runs is a merge
         found[nxt] = np.sort(np.concatenate((known, fresh)), kind="stable")
         r = nxt
@@ -364,9 +376,10 @@ def _sweep(tables, start, columns: int, keep_log: bool):
     return values[:tables[-1][1].size], logs
 
 
-def _frontier_tables(variant: str, width: int):
+def _frontier_tables(variant: str, width: int, length: int):
     """(tables, init_index, final_ok, row_states, prefix, prefix_logs) for
-    one variant and width.
+    one variant and width, or CapacityError, before any table is built, if a
+    sweep of `length` columns over its reachable states passes DP_WORK_CAP.
 
     tables are as `_predecessor_tables` returns them; init_index is the
     all-ones start state's index among the states entering row 0, and
@@ -383,12 +396,13 @@ def _frontier_tables(variant: str, width: int):
     with _table_cache_lock:
         hit = _table_cache.get(key)
         if hit is not None:
+            _check_work(sum(hit[0][3]), length)       # hit[0][3]: row_states
             _table_cache.move_to_end(key)
             return hit[0]
     rule = _RULES[variant]
     base = rule[0].size
     init = (base ** width - 1) // (base - 1)      # every frontier digit = 1
-    states = _reachable_states(rule, width, init)
+    states = _reachable_states(rule, width, init, length)
     row_states = tuple(s.size for s in states)
     tables, final_codes = _predecessor_tables(rule, states, width)
     init_index = int(np.flatnonzero(final_codes == init)[0])
@@ -446,57 +460,39 @@ def exact_gamma_dp(
 ) -> OracleResult:
     """Exact minimum via the frontier DP; witness via back-pointers.
 
-    The sweep always runs along the longer dimension so the frontier width is
-    min(m, n). A grid of more than DP_CELL_CAP cells raises CapacityError
-    naming its cells and the bound. Exceeding the width cap, or
-    3**MAX_WIDTH dense codes under any cap, raises CapacityError naming the
-    dense bound B**width on the frontier codes. All three are checked
-    before any table or log is built. The DP runs over reachable frontier
-    states only, through predecessor tables built once per (variant,
-    width) and kept, read-only, while all kept entries total at most
-    TABLE_CACHE_BYTES (64 MiB; every domination width <= 13 and [1,2]
-    width <= 10 fits, 27.5 MB together, and a width-16 set is rebuilt on
-    each call). Predecessor indices are
-    uint16 where a row has at most 2**16 states (domination width <= 12,
-    [1,2] width <= 10) and int32 beyond. No array has an entry per dense
-    code: every code is located by binary search over sorted reachable
-    codes. Each entry also holds its sweep of the first width columns from
-    the start state, so a solve sweeps only the length - width columns past
-    them. Each sweep's log is packed from its own first column, and the
-    witness is read back through the solve's log and then the prefix's.
-    `work` counts the (reachable state, cell) pairs of all length columns,
-    the prefix's included, `row_states[r]` is the reachable set entering
-    row offset r and `states` its maximum. `backpointer_bytes` is the log
-    size compared with BACKPOINTER_BUDGET: for each state with more than
-    one predecessor, one byte per D columns, ceil(length / D) bytes, where
-    D is 3 for domination (5 at width 1) and 5 for [1,2] (the most base-K
-    digits a byte holds, K the largest predecessor count); the solve
-    allocates ceil((length - width) / D) of them and the prefix holds the
-    rest.
-    When the log would exceed the budget only the value is computed and
-    the result is flagged witness_dropped.
+    The sweep runs along the longer dimension, so the frontier width is
+    min(m, n). Before any table or log is built, CapacityError refuses, in
+    order: more than DP_CELL_CAP cells (thin strips cost tens of
+    microseconds per cell at any state count); more than 2**31 - 1 frontier
+    codes B**width, the int32 range (domination width <= 19, [1,2] <= 15);
+    a width over `width_cap`, if one is given; and work, reachable states x
+    length, over DP_WORK_CAP, read from the cache entry or checked as the
+    reachable-state search finds the states. The cached (variant, width)
+    entry holds the tables and the sweep of the first width columns (see the
+    module docstring), so a solve sweeps only the length - width columns
+    past them, and reads its witness back through its own log and then the
+    prefix's. `backpointer_bytes` is ceil(length / D) bytes per state with
+    more than one predecessor, D = 3 for domination (5 at width 1) and 5 for
+    [1,2], the most base-K digits a byte holds, K the largest predecessor
+    count. Over BACKPOINTER_BUDGET only the value is computed and the result
+    is flagged witness_dropped.
     """
     _check_variant(variant)
-    cap = width_cap if width_cap is not None else DEFAULT_WIDTH_CAPS[variant]
     base = _RULES[variant][0].size
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
     if width * length > DP_CELL_CAP:
         raise CapacityError(
             f"{dims.m}x{dims.n} has {width * length} > {DP_CELL_CAP} cells "
             "(DP_CELL_CAP)")
-    if base**width > 3**MAX_WIDTH:
+    if base**width > 2**31 - 1:
         raise CapacityError(
-            f"frontier width {width} has {base}**{width} = {base**width} frontier "
-            f"codes, more than the 3**{MAX_WIDTH} = {3**MAX_WIDTH} that MAX_WIDTH "
-            f"{MAX_WIDTH} allows under any width cap")
-    if width > cap:
-        raise CapacityError(
-            f"frontier width {width} exceeds cap {cap}: {base}**{width} = "
-            f"{base**width} frontier codes (a bound; the DP keeps only the "
-            "reachable ones)"
-        )
+            f"frontier width {width} has {base}**{width} = {base**width} "
+            "frontier codes (a bound; the DP keeps only the reachable ones), "
+            "over the int32 code range 2**31 - 1")
+    if width_cap is not None and width > width_cap:
+        raise CapacityError(f"frontier width {width} exceeds cap {width_cap}")
     tables, init_index, final_ok, row_states, prefix, prefix_logs = \
-        _frontier_tables(variant, width)
+        _frontier_tables(variant, width, length)
     choices, _, per_byte = _log_layout(tables)
     log_bytes = sum(choices) * -(-length // per_byte)
     keep_bp = log_bytes <= BACKPOINTER_BUDGET

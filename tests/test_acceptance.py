@@ -136,7 +136,7 @@ def test_criterion_5_one_two_desk_scale():
                            "GRIDDOM_RUN_OPTIONAL=1 to run")
 def test_criterion_6_exact_dp_16x16_meets_formula():
     t0 = time.perf_counter()
-    res = exact_gamma_dp(GridDims(16, 16), "domination", width_cap=16)
+    res = exact_gamma_dp(GridDims(16, 16), "domination")
     elapsed = time.perf_counter() - t0
     ok = res.value == 60 == gamma_formula(GridDims(16, 16))
     # sandwich: exact <= constructed, and both meet the closed form, which

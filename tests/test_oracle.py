@@ -113,7 +113,7 @@ def test_dp_witnesses_are_pinned():
 def test_dp_13x13_witness_within_budget():
     # 40 is the published domination number of the 13x13 grid; the packed
     # log over its reachable states fits the default back-pointer budget
-    res = exact_gamma_dp(GridDims(13, 13), width_cap=13)
+    res = exact_gamma_dp(GridDims(13, 13))
     assert res.value == 40
     assert not res.witness_dropped and len(res.witness) == 40
     assert feasible(GridDims(13, 13), res.witness, "domination")
@@ -128,10 +128,10 @@ def test_dp_witness_log_is_packed():
     """A 13x17 domination solve over cached tables peaks under 8 MB: its log
     holds three columns per byte (4.0 MB), where one byte per column took
     11.4 MB and the solve peaked at 14.1 MB."""
-    oracle._frontier_tables("domination", 13)   # built outside the trace
+    oracle._frontier_tables("domination", 13, 13)   # built outside the trace
     tracemalloc.start()
     try:
-        res = exact_gamma_dp(GridDims(13, 17), width_cap=13)
+        res = exact_gamma_dp(GridDims(13, 17))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -160,7 +160,7 @@ def test_dp_tables_are_pinned():
         for width in range(1, top + 1):
             oracle._table_cache.pop((variant, width), None)
             tables, init_index, final_ok, row_states, _, _ = \
-                oracle._frontier_tables(variant, width)
+                oracle._frontier_tables(variant, width, width)
             digest.update(repr((variant, width, init_index, row_states)).encode())
             arrays = [a for preds, place in tables for a in (*preds, place)]
             for a in arrays + [final_ok]:
@@ -179,7 +179,8 @@ def test_dp_swept_prefixes_are_pinned():
     for variant, top in (("domination", 9), ("one-two", 8)):
         for width in range(1, top + 1):
             oracle._table_cache.pop((variant, width), None)
-            *_, prefix, prefix_logs = oracle._frontier_tables(variant, width)
+            *_, prefix, prefix_logs = oracle._frontier_tables(variant, width,
+                                                              width)
             for a in [prefix, *prefix_logs]:
                 digest.update(repr((a.dtype.str, a.shape)).encode())
                 digest.update(np.ascontiguousarray(a).tobytes())
@@ -213,34 +214,102 @@ def test_dp_transposes_internally():
 
 
 def test_dp_width_caps():
-    with pytest.raises(CapacityError, match="3\\*\\*13"):
-        exact_gamma_dp(GridDims(13, 40))
-    with pytest.raises(CapacityError, match="4\\*\\*11"):
-        exact_gamma_dp(GridDims(11, 12), "one-two")
-    # the cap is a parameter, not a constant
-    with pytest.raises(CapacityError):
+    """No width is refused for itself: domination 13 and [1,2] 11, over the
+    old default caps, are solved with no cap argument. A width cap is an
+    optional parameter that refuses the widths above it."""
+    res = exact_gamma_dp(GridDims(13, 14))
+    assert res.value == len(res.witness) == 44
+    assert feasible(GridDims(13, 14), res.witness, "domination")
+    res = exact_gamma_dp(GridDims(11, 12), "one-two")
+    assert res.value == len(res.witness) == 32
+    assert feasible(GridDims(11, 12), res.witness, "one-two")
+    with pytest.raises(CapacityError, match="frontier width 5 exceeds cap 4"):
         exact_gamma_dp(GridDims(5, 5), width_cap=4)
-    assert exact_gamma_dp(GridDims(5, 5), width_cap=5).value == \
-        exact_gamma_dp(GridDims(5, 5)).value
+    assert exact_gamma_dp(GridDims(5, 5), width_cap=5) == \
+        exact_gamma_dp(GridDims(5, 5))
 
 
 def test_dp_width_ceiling_refuses_before_any_table(capsys):
-    """A width cap does not lift the ceiling of 3**MAX_WIDTH dense codes:
-    domination at width 17 and [1,2] at width 16 (whose 4**16 codes overflow
-    int32) are refused before any table is built."""
-    assert oracle.MAX_WIDTH == 16
-    for variant, width, cli_side in (("domination", 17, "20"), ("one-two", 16, "16")):
+    """Frontier codes are int32, so domination at width 20 (3**20 codes) and
+    [1,2] at width 16 (4**16) are refused before any table is built, under
+    any width cap; the widest widths within int32, domination 19 and [1,2]
+    15, pass on to the next check."""
+    for variant, width in (("domination", 20), ("one-two", 16)):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="MAX_WIDTH 16"):
+            with pytest.raises(CapacityError, match="int32 code range"):
                 exact_gamma_dp(GridDims(width, width), variant, width_cap=width)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20, variant
-        assert main(["oracle", "--variant", variant, "--m", cli_side,
-                     "--n", cli_side, "--width-cap", cli_side]) == 2
-        assert "MAX_WIDTH" in capsys.readouterr().err
+        assert main(["oracle", "--variant", variant, "--m", str(width),
+                     "--n", str(width)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "int32 code range 2**31 - 1" in captured.err
+    for variant, width in (("domination", 19), ("one-two", 15)):
+        with pytest.raises(CapacityError, match=f"width {width} exceeds cap"):
+            exact_gamma_dp(GridDims(width, width), variant, width_cap=width - 1)
+
+
+def test_dp_work_cap_stops_a_cold_search(monkeypatch):
+    """Over DP_WORK_CAP on a cold width, the reachable-state search stops as
+    soon as the states it has found, times the length, pass the cap: no
+    table is built, nothing is cached, and the search's peak stays in
+    proportion to cap / length (about 16 B per state; the full width-12
+    search peaks at about 3.4 MB)."""
+    cap, length = 2**20, 40
+    monkeypatch.setattr(oracle, "DP_WORK_CAP", cap)
+    oracle._table_cache.clear()
+
+    def no_tables(*args):
+        raise AssertionError("tables built over the work cap")
+
+    monkeypatch.setattr(oracle, "_predecessor_tables", no_tables)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"over DP_WORK_CAP = {cap}"):
+            exact_gamma_dp(GridDims(12, length))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not oracle._table_cache
+    assert peak < 32 * cap / length, peak
+
+
+def test_dp_work_cap_admits_its_bound(monkeypatch):
+    """A solve whose work equals DP_WORK_CAP is accepted, cold and warm; one
+    pair less refuses it, warm (the work read from the cache entry) and
+    cold (the search stopped)."""
+    expected = exact_gamma_dp(GridDims(6, 9))
+    monkeypatch.setattr(oracle, "DP_WORK_CAP", expected.work)
+    oracle._table_cache.clear()
+    assert exact_gamma_dp(GridDims(6, 9)) == expected       # cold
+    assert exact_gamma_dp(GridDims(6, 9)) == expected       # warm
+    monkeypatch.setattr(oracle, "DP_WORK_CAP", expected.work - 1)
+    with pytest.raises(CapacityError, match="DP_WORK_CAP"):
+        exact_gamma_dp(GridDims(6, 9))
+    oracle._table_cache.clear()
+    with pytest.raises(CapacityError, match="DP_WORK_CAP"):
+        exact_gamma_dp(GridDims(6, 9))
+    assert not oracle._table_cache
+
+
+def test_dp_work_cap_refuses_12x1723():
+    """At the real cap, width 12's 623190 reachable states admit a length of
+    1722 (1073133180 pairs, a sweep of about 4 s) and refuse 1723
+    (1073756370 > 2**30), cold or cached, well within DP_CELL_CAP."""
+    assert oracle.DP_WORK_CAP == 2**30
+    oracle._table_cache.pop(("domination", 12), None)
+    with pytest.raises(CapacityError, match="over DP_WORK_CAP = 1073741824"):
+        exact_gamma_dp(GridDims(1723, 12))
+    assert ("domination", 12) not in oracle._table_cache
+    res = exact_gamma_dp(GridDims(12, 12))
+    assert sum(res.row_states) == 623190
+    assert sum(res.row_states) * 1722 <= 2**30 < sum(res.row_states) * 1723
+    with pytest.raises(CapacityError, match="1073756370 .state, cell. pairs"):
+        exact_gamma_dp(GridDims(12, 1723))
 
 
 def test_dp_cell_cap_refuses_before_any_table(capsys, monkeypatch):
@@ -361,7 +430,7 @@ def test_dp_solves_sweep_only_the_columns_past_the_cached_prefix(
 def test_dp_cached_tables_are_read_only():
     exact_gamma_dp(GridDims(5, 7), "one-two")
     tables, _, final_ok, _, prefix, prefix_logs = oracle._frontier_tables(
-        "one-two", 5)
+        "one-two", 5, 7)
     preds, place = tables[0]
     for array in (preds[0], preds[-1], place, final_ok, prefix,
                   *prefix_logs):
@@ -420,7 +489,8 @@ def test_dp_table_indices_are_uint16_where_the_states_fit():
                                      + prefix_bytes * choices)
         assert prefix.nbytes + sum(log.nbytes for log in prefix_logs) == \
             size - table_size
-    tables, _, _, row_states, _, _ = oracle._frontier_tables("domination", 13)
+    tables, _, _, row_states, _, _ = oracle._frontier_tables("domination", 13,
+                                                             13)
     assert min(row_states) > 2**16
     assert {p.dtype for row, _ in tables for p in row} == {np.dtype(np.int32)}
 
@@ -432,7 +502,7 @@ def test_dp_cold_table_build_allocates_no_dense_lookup():
     oracle._table_cache.pop(("domination", 12), None)
     tracemalloc.start()
     try:
-        oracle._frontier_tables("domination", 12)
+        oracle._frontier_tables("domination", 12, 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,7 +515,7 @@ def test_dp_cold_search_allocates_no_dense_mask():
     rule = oracle._RULES["one-two"]
     tracemalloc.start()
     try:
-        states = oracle._reachable_states(rule, 10, (4 ** 10 - 1) // 3)
+        states = oracle._reachable_states(rule, 10, (4 ** 10 - 1) // 3, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -480,8 +550,8 @@ def test_one_two_10x10_value():
 
 
 def test_dp_capacity_message_names_a_bound():
-    # the DP holds only the reachable frontier states (about 128k at width
-    # 13), so the dense count is reported as a bound on the codes
-    with pytest.raises(CapacityError, match="1594323 frontier codes") as exc:
-        exact_gamma_dp(GridDims(13, 40))
+    # the DP holds only the reachable frontier states, so the dense count
+    # 3**20 is reported as a bound on the codes
+    with pytest.raises(CapacityError, match="3486784401 frontier codes") as exc:
+        exact_gamma_dp(GridDims(20, 20))
     assert "states per layer" not in str(exc.value)

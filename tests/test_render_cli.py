@@ -11,7 +11,7 @@ import pytest
 from griddom import (GridDims, OracleResult, construct, count_cross_check,
                      document_to_pattern, dumps_document, exact_gamma_dp,
                      pattern_to_document, render_ascii, render_svg)
-from griddom import cli
+from griddom import cli, oracle
 from griddom.cli import main
 from griddom.construction import PatternSet
 from griddom.render import DocumentError, _centres, dumps_pattern
@@ -203,7 +203,33 @@ def test_cli_oracle_dp_reports_states(capsys):
 
 
 def test_cli_oracle_capacity(capsys):
-    assert main(["oracle", "--m", "13", "--n", "14"]) == 2
+    # no default width cap: frontier width 13 is solved with no flag
+    assert main(["oracle", "--m", "13", "--n", "14"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == len(payload["witness"]) == 44
+    # a grid over the DP's work cap exits 2 without output
+    assert main(["oracle", "--m", "12", "--n", "1723"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DP_WORK_CAP" in captured.err
+    # the width cap is no longer an option
+    assert main(["oracle", "--m", "5", "--n", "5", "--width-cap", "5"]) == 2
+
+
+def test_cli_oracle_says_why_a_witness_was_dropped(capsys, monkeypatch):
+    assert main(["oracle", "--m", "4", "--n", "8"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", 64)
+    assert main(["oracle", "--m", "4", "--n", "8"]) == 0
+    captured = capsys.readouterr()
+    res = exact_gamma_dp(GridDims(4, 8))
+    assert res.witness_dropped and res.backpointer_bytes > 64
+    # stdout is the result's fields, as for a kept witness; stderr is one line
+    ref = dataclasses.asdict(res)
+    ref["dims"] = {"m": 4, "n": 8}
+    assert captured.out == json.dumps(ref, sort_keys=True, indent=1) + "\n"
+    assert captured.err == (
+        f"note: witness dropped: its back-pointer log of "
+        f"{res.backpointer_bytes} bytes is over BACKPOINTER_BUDGET = 64\n")
 
 
 def test_cli_oracle_refuses_grids_over_the_cell_budget(capsys, monkeypatch):
