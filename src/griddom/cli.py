@@ -15,7 +15,6 @@ from dataclasses import fields
 
 from .construction import MIN_SIDE, construct, gamma_formula
 from .grid import GridDims
-from . import oracle
 from .oracle import exact_gamma_bruteforce, exact_gamma_dp
 from .render import (document_dims, document_to_pattern, dumps_pattern,
                      render_ascii, render_svg)
@@ -134,15 +133,10 @@ def cmd_oracle(args) -> int:
         res = exact_gamma_bruteforce(dims, variant=args.variant)
     else:
         res = exact_gamma_dp(dims, variant=args.variant)
-    if res.witness_dropped:
-        sys.stderr.write(
-            f"note: witness dropped: its back-pointer log of {res.backpointer_bytes}"
-            f" bytes is over BACKPOINTER_BUDGET = {oracle.BACKPOINTER_BUDGET}\n")
     # the fields as they are: asdict would deep-copy every witness Vertex
     payload = {f.name: getattr(res, f.name) for f in fields(res)}
     payload["dims"] = {"m": dims.m, "n": dims.n}
-    payload["witness"] = ([list(v) for v in res.witness]
-                          if res.witness is not None else None)
+    payload["witness"] = [list(v) for v in res.witness]
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK
 

@@ -31,8 +31,9 @@ k of the chosen predecessor, logged per cell only for the states with a
 choice, the prefix preds[1]; a state past it has one predecessor, k = 0. A
 k is a digit in base K, the width's largest predecessor count (5 for
 domination, 3 for [1,2]), and one byte holds the digits of D consecutive
-columns, the most with K**D <= 256 (3 and 5 columns). The log is dropped
-above a byte budget, in which case only the value is returned.
+columns, the most with K**D <= 256 (3 and 5 columns). The log is always
+kept: it is about 14% of the work at most, so at every length DP_WORK_CAP
+admits it is under 152 MB (151.3 MB at domination 16 x 37).
 
 Every solve of width w sweeps at least w columns from the same start state,
 so the first w columns are swept once, when the tables are built, and
@@ -58,7 +59,6 @@ DP_CELL_CAP = 10**6
 # largest work, reachable states x length, that exact_gamma_dp accepts (a
 # 3-5 s sweep): it admits domination 16x16, [1,2] 14x14 and 12x1722
 DP_WORK_CAP = 2**30
-BACKPOINTER_BUDGET = 256 * 2**20   # bytes
 # domination widths <= 13 and [1,2] widths <= 10 take 20.8 MB of tables and
 # 6.7 MB of swept prefixes (the oracle-dp widths, domination 11-13 and [1,2]
 # 9-10, 19.9 + 6.3 MB); one domination width-16 entry (306 MB) is never kept
@@ -79,19 +79,18 @@ class OracleResult:
     with DP_WORK_CAP, after DP_CELL_CAP and the int32 code range. For the
     DP, `row_states[r]` is the number of reachable frontier codes entering
     row offset r, `states` its maximum, and `backpointer_bytes` the packed
-    witness log's size over all length columns, the figure compared with
-    BACKPOINTER_BUDGET: ceil(length / D) bytes for each state with a choice
-    (see exact_gamma_dp), of which the solve allocates ceil((length - w) /
-    D) and the cached prefix holds the rest. They are (), 0 and 0 for brute
-    force."""
+    witness log's size over all length columns: ceil(length / D) bytes for
+    each state with a choice (see exact_gamma_dp), of which the solve
+    allocates ceil((length - w) / D) and the cached prefix holds the rest.
+    They are (), 0 and 0 for brute force. Both methods always return a
+    witness of `value` members."""
 
     dims: GridDims
     variant: str
     value: int
-    witness: tuple[Vertex, ...] | None
+    witness: tuple[Vertex, ...]
     method: str
     work: int
-    witness_dropped: bool = False
     states: int = 0
     backpointer_bytes: int = 0
     row_states: tuple[int, ...] = ()
@@ -325,18 +324,16 @@ def _log_layout(tables):
     return choices, radix, per_byte
 
 
-def _sweep(tables, start, columns: int, keep_log: bool):
+def _sweep(tables, start, columns: int):
     """Relax `columns` columns from `start`, the values of the states
     entering row 0, and return (the values of those states after them,
-    logs). With keep_log, logs[r] is a (ceil(columns / per_byte), choices[r])
-    byte array whose byte col // per_byte holds, as digit col % per_byte, the
-    k of row offset r in this sweep's column col; otherwise logs is None."""
+    logs). logs[r] is a (ceil(columns / per_byte), choices[r]) byte array
+    whose byte col // per_byte holds, as digit col % per_byte, the k of row
+    offset r in this sweep's column col."""
     choices, radix, per_byte = _log_layout(tables)
-    logs = None
-    if keep_log:
-        logs = [np.zeros((-(-columns // per_byte), c), dtype=np.uint8)
-                for c in choices]
-        digits = np.empty(max(choices), dtype=np.uint8)
+    logs = [np.zeros((-(-columns // per_byte), c), dtype=np.uint8)
+            for c in choices]
+    digits = np.empty(max(choices), dtype=np.uint8)
     top = max(place.size for _, place in tables)
     values = np.full(top, _INF, dtype=np.int32)
     values[:start.size] = start
@@ -351,24 +348,23 @@ def _sweep(tables, start, columns: int, keep_log: bool):
             # every index is in range; "clip" skips the buffered bounds check
             np.take(values, preds[0], out=out[:head], mode="clip")
             out[head:] = _INF       # the start state may have no predecessor
-            if logs is not None:
-                # a byte's first column is written into the log in place, a
-                # later one is scaled to its digit and added
-                bp = logs[r][byte] if digit == 0 else digits[:logs[r].shape[1]]
+            # a byte's first column is written into the log in place, a
+            # later one is scaled to its digit and added
+            bp = logs[r][byte] if digit == 0 else digits[:logs[r].shape[1]]
             for k in range(1, len(preds)):
                 n = preds[k].size
                 cur, cand, less = out[:n], gathered[:n], better[:n]
                 np.take(values, preds[k], out=cand, mode="clip")
-                if logs is not None and k == 1:     # preds[1] spans all of bp
+                if k == 1:                  # preds[1] spans all of bp
                     np.less(cand, cur, out=bp)
-                elif logs is not None:
+                else:
                     # k rises, so the max keeps the last strictly better k:
                     # the argmin, ties to the lowest k (a masked copy is
                     # several times slower when many entries improve)
                     np.less(cand, cur, out=less)
                     np.maximum(bp[:n], np.multiply(less, k, out=less), out=bp[:n])
                 np.minimum(cur, cand, out=cur)
-            if logs is not None and digit:
+            if digit:
                 np.multiply(bp, radix ** digit, out=bp)
                 np.add(logs[r][byte], bp, out=logs[r][byte])
             np.add(out, place, out=out)
@@ -411,7 +407,7 @@ def _frontier_tables(variant: str, width: int, length: int):
         final_ok &= final_codes // base ** j % base != base - 1
     start = np.full(final_codes.size, _INF, dtype=np.int32)
     start[init_index] = 0
-    prefix, prefix_logs = _sweep(tables, start, width, True)
+    prefix, prefix_logs = _sweep(tables, start, width)
     prefix = prefix.copy()          # not a view of the sweep's larger buffer
     arrays = [final_ok, prefix, *prefix_logs] + [
         a for preds, place in tables for a in (*preds, place)]
@@ -474,8 +470,8 @@ def exact_gamma_dp(
     prefix's. `backpointer_bytes` is ceil(length / D) bytes per state with
     more than one predecessor, D = 3 for domination (5 at width 1) and 5 for
     [1,2], the most base-K digits a byte holds, K the largest predecessor
-    count. Over BACKPOINTER_BUDGET only the value is computed and the result
-    is flagged witness_dropped.
+    count; DP_WORK_CAP keeps it under 152 MB, so the witness is always
+    returned.
     """
     _check_variant(variant)
     base = _RULES[variant][0].size
@@ -493,31 +489,27 @@ def exact_gamma_dp(
         raise CapacityError(f"frontier width {width} exceeds cap {width_cap}")
     tables, init_index, final_ok, row_states, prefix, prefix_logs = \
         _frontier_tables(variant, width, length)
-    choices, _, per_byte = _log_layout(tables)
-    log_bytes = sum(choices) * -(-length // per_byte)
-    keep_bp = log_bytes <= BACKPOINTER_BUDGET
-    values, logs = _sweep(tables, prefix, length - width, keep_bp)
+    values, logs = _sweep(tables, prefix, length - width)
     finals = np.where(final_ok, values, _INF)
     final_index = int(np.argmin(finals))
     value = int(finals[final_index])
     if value >= int(_INF):
         raise AssertionError("no feasible completion; the DP is inconsistent")
-    witness = None
-    if keep_bp:
-        cells, start = _reconstruct(
-            tables, ((prefix_logs, width), (logs, length - width)), final_index)
-        if start != init_index:
-            raise AssertionError("back-pointer chain broken")
-        if dims.m <= dims.n:
-            witness = tuple(sorted(Vertex(r + 1, c + 1) for r, c in cells))
-        else:
-            witness = tuple(sorted(Vertex(c + 1, r + 1) for r, c in cells))
-        if len(witness) != value:
-            raise AssertionError("witness size disagrees with DP value")
+    cells, start = _reconstruct(
+        tables, ((prefix_logs, width), (logs, length - width)), final_index)
+    if start != init_index:
+        raise AssertionError("back-pointer chain broken")
+    if dims.m <= dims.n:
+        witness = tuple(sorted(Vertex(r + 1, c + 1) for r, c in cells))
+    else:
+        witness = tuple(sorted(Vertex(c + 1, r + 1) for r, c in cells))
+    if len(witness) != value:
+        raise AssertionError("witness size disagrees with DP value")
+    choices, _, per_byte = _log_layout(tables)
     return OracleResult(
         dims=dims, variant=variant, value=value, witness=witness,
         method="profile-dp", work=sum(row_states) * length,
-        witness_dropped=not keep_bp,
-        states=max(row_states), backpointer_bytes=log_bytes,
+        states=max(row_states),
+        backpointer_bytes=sum(choices) * -(-length // per_byte),
         row_states=row_states,
     )

@@ -15,11 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from griddom import (GridDims, construct, count_cross_check, coverage_map,
-                     exact_gamma_bruteforce, exact_gamma_dp, gamma_formula,
-                     pattern_class, verify_pattern)
+from griddom import (CapacityError, GridDims, construct, count_cross_check,
+                     coverage_map, exact_gamma_bruteforce, exact_gamma_dp,
+                     gamma_formula, pattern_class, verify_pattern)
 from griddom.cli import bench_row
 from griddom.deviations import expected_table_mismatches
+from test_oracle import LOG_BOUND, longest_admissible_log
 
 SWEEP_LO, SWEEP_HI = 16, 66
 
@@ -143,12 +144,45 @@ def test_criterion_6_exact_dp_16x16_meets_formula():
     # certifies optimality of the construction end to end at this size
     ok = ok and construct(GridDims(16, 16)).cardinality == res.value
     # the witness is an independent minimum dominating set
-    witness = res.witness or ()
+    witness = res.witness
     ok = ok and len(witness) == 60
     ok = ok and coverage_map(GridDims(16, 16), witness).is_dominating
     report(6, "optional 16x16 exact recomputation with witness", ok,
            f"dp={res.value}, witness={len(witness)} members, {elapsed:.1f} s, "
            f"max RSS {maxrss_mb():.0f} MiB")
+    assert ok
+
+
+@pytest.mark.optional
+@pytest.mark.skipif(os.environ.get("GRIDDOM_RUN_OPTIONAL") != "1",
+                    reason="builds the tables of every wide width: ~60 s and "
+                           "~0.9 GB; set GRIDDOM_RUN_OPTIONAL=1 to run")
+def test_dp_log_bounded_by_work_cap_at_wide_widths():
+    """The witness log bound of test_dp_log_bounded_by_work_cap at the widths
+    whose tables take seconds to build, with their longest admissible
+    lengths and logs in MB; every wider width within the int32 code range
+    is refused at its own square, so no solve there keeps a log."""
+    t0 = time.perf_counter()
+    found = {(variant, width): longest_admissible_log(variant, width)
+             for variant, widths in (("domination", range(13, 17)),
+                                     ("one-two", range(12, 15)))
+             for width in widths}
+    logs = {key: round(log_bytes / 1e6, 1)
+            for key, (_, log_bytes) in found.items()}
+    ok = logs == {
+        ("domination", 13): 147.5, ("domination", 14): 148.3,
+        ("domination", 15): 149.1, ("domination", 16): 151.3,
+        ("one-two", 12): 99.4, ("one-two", 13): 99.2, ("one-two", 14): 110.4}
+    ok = ok and found["domination", 16][0] == 37
+    ok = ok and all(log_bytes <= LOG_BOUND for _, log_bytes in found.values())
+    for variant, widths in (("domination", range(17, 20)), ("one-two", (15,))):
+        for width in widths:
+            with pytest.raises(CapacityError, match="DP_WORK_CAP"):
+                exact_gamma_dp(GridDims(width, width), variant)
+    elapsed = time.perf_counter() - t0
+    report(6, "optional witness log bound at the wide widths", ok,
+           f"largest log {max(logs.values())} MB <= {LOG_BOUND / 1e6:.0f} MB, "
+           f"{elapsed:.0f} s, max RSS {maxrss_mb():.0f} MiB")
     assert ok
 
 

@@ -9,7 +9,11 @@ from griddom import (CapacityError, GridDims, Vertex, coverage_map,
                      exact_gamma_bruteforce, exact_gamma_dp)
 from griddom import oracle
 from griddom.cli import main
-from griddom.oracle import BACKPOINTER_BUDGET
+
+# the largest witness log, in bytes, of any solve the caps admit: 151.3 MB
+# at domination 16x37; test_dp_log_bounded_by_work_cap and its optional
+# counterpart in test_acceptance.py check it width by width
+LOG_BOUND = 152 * 10**6
 
 
 def reference_minimum(m, n, variant="domination"):
@@ -72,7 +76,7 @@ def test_dp_12x12_value_and_witness():
     # 35 cross-checked against an independent integer-programming solve
     res = exact_gamma_dp(GridDims(12, 12))
     assert res.value == 35
-    assert res.witness is not None and len(res.witness) == 35
+    assert len(res.witness) == 35
     assert res.witness == tuple(sorted(res.witness))
     assert coverage_map(GridDims(12, 12), set(res.witness)).is_dominating
     assert res.method == "profile-dp" and res.work > 0
@@ -112,16 +116,16 @@ def test_dp_witnesses_are_pinned():
 
 def test_dp_13x13_witness_within_budget():
     # 40 is the published domination number of the 13x13 grid; the packed
-    # log over its reachable states fits the default back-pointer budget
+    # log over its reachable states is within the bound the caps keep
     res = exact_gamma_dp(GridDims(13, 13))
     assert res.value == 40
-    assert not res.witness_dropped and len(res.witness) == 40
+    assert len(res.witness) == 40
     assert feasible(GridDims(13, 13), res.witness, "domination")
     # for each of the 670511 states with a choice, one byte per three
     # columns: a k is one of 5, and 5**3 <= 256, so ceil(13 / 3) bytes
     assert res.backpointer_bytes == 670511 * 5
     assert 0 < res.backpointer_bytes < res.work
-    assert res.backpointer_bytes <= BACKPOINTER_BUDGET
+    assert res.backpointer_bytes <= LOG_BOUND
 
 
 def test_dp_witness_log_is_packed():
@@ -135,7 +139,7 @@ def test_dp_witness_log_is_packed():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not res.witness_dropped and len(res.witness) == res.value
+    assert len(res.witness) == res.value
     assert res.backpointer_bytes == 670511 * 6      # ceil(17 / 3) bytes
     assert peak < 8e6, peak
 
@@ -186,6 +190,33 @@ def test_dp_swept_prefixes_are_pinned():
                 digest.update(np.ascontiguousarray(a).tobytes())
     assert digest.hexdigest() == (
         "293bd37a7748517e02b6d8f8da124e07385a551a6575822971c27095df8dfa95")
+
+
+def longest_admissible_log(variant, width):
+    """(L*, bytes): the longest length L* that DP_WORK_CAP and DP_CELL_CAP
+    admit at this width, and the witness log of a solve of that length,
+    sum(choices) * ceil(L* / D) bytes. The log grows with the length, so no
+    admissible solve of this width logs more. CapacityError if the width's
+    own square is over DP_WORK_CAP."""
+    tables, _, _, row_states, _, _ = oracle._frontier_tables(variant, width,
+                                                             width)
+    choices, _, per_byte = oracle._log_layout(tables)
+    longest = min(oracle.DP_WORK_CAP // sum(row_states),
+                  oracle.DP_CELL_CAP // width)
+    return longest, sum(choices) * -(-longest // per_byte)
+
+
+@pytest.mark.parametrize("variant,top", [("domination", 12), ("one-two", 11)])
+def test_dp_log_bounded_by_work_cap(variant, top):
+    """The caps keep every admissible witness log within LOG_BOUND, so the
+    DP can always keep its witness; a length past L* is refused. Domination
+    widths 13-16 and [1,2] widths 12-14 are checked by an optional test."""
+    assert (oracle.DP_WORK_CAP, oracle.DP_CELL_CAP) == (2**30, 10**6)
+    for width in range(1, top + 1):
+        longest, log_bytes = longest_admissible_log(variant, width)
+        assert width <= longest and log_bytes <= LOG_BOUND, (width, log_bytes)
+        with pytest.raises(CapacityError):
+            exact_gamma_dp(GridDims(width, longest + 1), variant)
 
 
 def test_dp_reachable_state_counts():
@@ -334,21 +365,6 @@ def test_dp_cell_cap_refuses_before_any_table(capsys, monkeypatch):
         exact_gamma_dp(GridDims(3, 7))
 
 
-def test_dp_witness_dropped_over_budget(monkeypatch):
-    full = exact_gamma_dp(GridDims(4, 8))
-    monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", 64)
-    res = exact_gamma_dp(GridDims(4, 8))
-    assert res.value == full.value
-    assert res.witness is None and res.witness_dropped
-    assert full.witness is not None and not full.witness_dropped
-    # the log size that was compared with the budget explains the drop
-    assert res.backpointer_bytes == full.backpointer_bytes > 64
-    assert 0 < res.states <= 3 ** 4
-    monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", full.backpointer_bytes)
-    exact = exact_gamma_dp(GridDims(4, 8))
-    assert exact.witness == full.witness
-
-
 def test_dp_backpointer_log_costs_its_bytes_on_a_thin_strip():
     # the log is one array per row offset, so besides its counted bytes the
     # solve holds about the witness itself (one Vertex per member), not an
@@ -380,15 +396,13 @@ def test_dp_cold_and_warm_tables_agree():
 
 
 def count_swept_columns(monkeypatch):
-    """Record the (column count, log rows) of every `_sweep` call; log rows
-    is None where the sweep keeps no log."""
+    """Record the (column count, log rows) of every `_sweep` call."""
     swept = []
     sweep = oracle._sweep
 
-    def counting(tables, start, columns, keep_log):
-        values, logs = sweep(tables, start, columns, keep_log)
-        rows = None if logs is None else {log.shape[0] for log in logs}
-        swept.append((columns, rows))
+    def counting(tables, start, columns):
+        values, logs = sweep(tables, start, columns)
+        swept.append((columns, {log.shape[0] for log in logs}))
         return values, logs
 
     monkeypatch.setattr(oracle, "_sweep", counting)

@@ -11,7 +11,7 @@ import pytest
 from griddom import (GridDims, OracleResult, construct, count_cross_check,
                      document_to_pattern, dumps_document, exact_gamma_dp,
                      pattern_to_document, render_ascii, render_svg)
-from griddom import cli, oracle
+from griddom import cli
 from griddom.cli import main
 from griddom.construction import PatternSet
 from griddom.render import DocumentError, _centres, dumps_pattern
@@ -190,7 +190,9 @@ def test_cli_oracle_brute(capsys):
 
 def test_cli_oracle_dp_reports_states(capsys):
     assert main(["oracle", "--m", "4", "--n", "5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
     assert payload["value"] == 6 and len(payload["witness"]) == 6
     assert 0 < payload["states"] <= 3 ** 4
     # for each of the 72 states with more than one predecessor, one byte per
@@ -199,7 +201,10 @@ def test_cli_oracle_dp_reports_states(capsys):
     assert 0 < payload["backpointer_bytes"] < payload["work"]
     assert len(payload["row_states"]) == 4
     assert max(payload["row_states"]) == payload["states"]
-    assert payload["witness_dropped"] is False
+    # the DP always keeps its witness, so the payload has no drop flag
+    assert isinstance(payload["witness"], list)
+    assert set(payload) == {"dims", "variant", "value", "witness", "method",
+                            "work", "states", "backpointer_bytes", "row_states"}
 
 
 def test_cli_oracle_capacity(capsys):
@@ -213,23 +218,6 @@ def test_cli_oracle_capacity(capsys):
     assert captured.out == "" and "DP_WORK_CAP" in captured.err
     # the width cap is no longer an option
     assert main(["oracle", "--m", "5", "--n", "5", "--width-cap", "5"]) == 2
-
-
-def test_cli_oracle_says_why_a_witness_was_dropped(capsys, monkeypatch):
-    assert main(["oracle", "--m", "4", "--n", "8"]) == 0
-    assert capsys.readouterr().err == ""
-    monkeypatch.setattr(oracle, "BACKPOINTER_BUDGET", 64)
-    assert main(["oracle", "--m", "4", "--n", "8"]) == 0
-    captured = capsys.readouterr()
-    res = exact_gamma_dp(GridDims(4, 8))
-    assert res.witness_dropped and res.backpointer_bytes > 64
-    # stdout is the result's fields, as for a kept witness; stderr is one line
-    ref = dataclasses.asdict(res)
-    ref["dims"] = {"m": 4, "n": 8}
-    assert captured.out == json.dumps(ref, sort_keys=True, indent=1) + "\n"
-    assert captured.err == (
-        f"note: witness dropped: its back-pointer log of "
-        f"{res.backpointer_bytes} bytes is over BACKPOINTER_BUDGET = 64\n")
 
 
 def test_cli_oracle_refuses_grids_over_the_cell_budget(capsys, monkeypatch):
