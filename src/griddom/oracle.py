@@ -40,6 +40,11 @@ so the first w columns are swept once, when the tables are built, and
 cached with their values and log; a solve sweeps only the columns past
 them. Each sweep's log is packed from its own first column, and a witness
 is read back through the sweeps' logs in reverse.
+
+A solve is admitted or refused before any search, on its work: the
+reachable-state total committed for its width in REACHABLE_STATES, times
+its length, against DP_WORK_CAP. A cold table build checks its search's
+total against that entry, so the tables depend on (variant, w) alone.
 """
 
 import threading
@@ -57,8 +62,21 @@ BRUTE_FORCE_CELL_CAP = 20
 # 2-vCPU VM), so a larger grid is refused rather than run for minutes
 DP_CELL_CAP = 10**6
 # largest work, reachable states x length, that exact_gamma_dp accepts (a
-# 3-5 s sweep): it admits domination 16x16, [1,2] 14x14 and 12x1722
+# 3-5 s sweep): it admits domination 16x16, [1,2] 14x14 and 12x1722, and
+# is compared, before any search, with the work REACHABLE_STATES gives
 DP_WORK_CAP = 2**30
+# per variant, the reachable frontier states summed over the row offsets at
+# each width 1, 2, ... within the int32 code range, as _reachable_states
+# finds them; a cold table build checks its search against its entry. None
+# where the width's own square is over DP_WORK_CAP (the search passed
+# DP_WORK_CAP // w states), so every length of that width is refused
+REACHABLE_STATES = {
+    "domination": (3, 15, 55, 178, 539, 1565, 4415, 12196, 33155, 89003,
+                   236503, 623190, 1630587, 4240953, 10973375, 28266056,
+                   None, None, None),
+    "one-two": (3, 19, 84, 326, 1184, 4123, 13946, 46185, 150510, 484318,
+                1542606, 4872125, 15279590, 47631391, None),
+}
 # domination widths <= 13 and [1,2] widths <= 10 take 20.8 MB of tables and
 # 6.7 MB of swept prefixes (the oracle-dp widths, domination 11-13 and [1,2]
 # 9-10, 19.9 + 6.3 MB); one domination width-16 entry (306 MB) is never kept
@@ -76,13 +94,14 @@ class OracleResult:
     """One exact solve. `work` counts subsets tried (brute force) or
     (reachable state, cell) pairs relaxed (profile DP) over the whole sweep,
     the cached prefix's columns included: the DP's is the figure compared
-    with DP_WORK_CAP, after DP_CELL_CAP and the int32 code range. For the
-    DP, `row_states[r]` is the number of reachable frontier codes entering
-    row offset r, `states` its maximum, and `backpointer_bytes` the packed
-    witness log's size over all length columns: ceil(length / D) bytes for
-    each state with a choice (see exact_gamma_dp), of which the solve
-    allocates ceil((length - w) / D) and the cached prefix holds the rest.
-    They are (), 0 and 0 for brute force. Both methods always return a
+    with DP_WORK_CAP, after DP_CELL_CAP, the int32 code range and any width
+    cap, and before any search, its states read from REACHABLE_STATES. For
+    the DP, `row_states[r]` is the number of reachable frontier codes
+    entering row offset r, `states` its maximum, and `backpointer_bytes` the
+    packed witness log's size over all length columns: ceil(length / D)
+    bytes for each state with a choice (see exact_gamma_dp), of which the
+    solve allocates ceil((length - w) / D) and the cached prefix holds the
+    rest. They are (), 0 and 0 for brute force. Both methods always return a
     witness of `value` members."""
 
     dims: GridDims
@@ -209,31 +228,20 @@ def _successors(rule, codes: np.ndarray, r: int):
     return place, no_place
 
 
-def _check_work(states: int, length: int) -> None:
-    """Refuse a sweep of `length` columns over `states` reachable states,
-    or over more, if that work passes DP_WORK_CAP."""
-    if states * length > DP_WORK_CAP:
-        raise CapacityError(
-            f"{states} reachable frontier states found x {length} columns = "
-            f"{states * length} (state, cell) pairs, over DP_WORK_CAP = "
-            f"{DP_WORK_CAP}")
-
-
-def _reachable_states(rule, width: int, init: int, length: int):
+def _reachable_states(rule, width: int, init: int):
     """Sorted frontier codes that can enter each row offset r, in any column.
 
     Only newly found states are propagated, so the search stops at the first
     step that finds nothing new: every later step would start from nothing.
     A candidate is looked up among the states already found for its row
     offset by binary search, and the new ones are merged in, so each row's
-    array stays sorted and no array has an entry per dense code. It raises
-    CapacityError once the states found, times `length`, pass DP_WORK_CAP,
-    so its arrays stay within about 16 B x DP_WORK_CAP / length.
+    array stays sorted and no array has an entry per dense code. Its arrays
+    hold about 16 B per state found.
     """
-    # exact_gamma_dp checks DP_CELL_CAP, then B**width <= 2**31 - 1, which
-    # keeps every code here int32, then DP_WORK_CAP, here as states are found
+    # exact_gamma_dp checks B**width <= 2**31 - 1, which keeps every code
+    # here int32, and refuses a width whose REACHABLE_STATES entry is None
     found = [np.array([init], np.int32)] + [np.empty(0, np.int32)] * (width - 1)
-    fresh, r, total = found[0], 0, 1
+    fresh, r = found[0], 0
     while fresh.size:
         nxt = (r + 1) % width
         cand = np.concatenate(_successors(rule, fresh, r))
@@ -245,8 +253,6 @@ def _reachable_states(rule, width: int, init: int, length: int):
         if known.size:
             at = np.searchsorted(known, fresh)
             fresh = fresh[known.take(at, mode="clip") != fresh]
-        total += fresh.size
-        _check_work(total, length)
         # a stable sort of two sorted runs is a merge
         found[nxt] = np.sort(np.concatenate((known, fresh)), kind="stable")
         r = nxt
@@ -372,10 +378,10 @@ def _sweep(tables, start, columns: int):
     return values[:tables[-1][1].size], logs
 
 
-def _frontier_tables(variant: str, width: int, length: int):
+def _frontier_tables(variant: str, width: int):
     """(tables, init_index, final_ok, row_states, prefix, prefix_logs) for
-    one variant and width, or CapacityError, before any table is built, if a
-    sweep of `length` columns over its reachable states passes DP_WORK_CAP.
+    one variant and width; AssertionError if a cold build's search finds
+    other than the width's REACHABLE_STATES total.
 
     tables are as `_predecessor_tables` returns them; init_index is the
     all-ones start state's index among the states entering row 0, and
@@ -392,14 +398,15 @@ def _frontier_tables(variant: str, width: int, length: int):
     with _table_cache_lock:
         hit = _table_cache.get(key)
         if hit is not None:
-            _check_work(sum(hit[0][3]), length)       # hit[0][3]: row_states
             _table_cache.move_to_end(key)
             return hit[0]
     rule = _RULES[variant]
     base = rule[0].size
     init = (base ** width - 1) // (base - 1)      # every frontier digit = 1
-    states = _reachable_states(rule, width, init, length)
+    states = _reachable_states(rule, width, init)
     row_states = tuple(s.size for s in states)
+    if sum(row_states) != REACHABLE_STATES[variant][width - 1]:
+        raise AssertionError("search disagrees with REACHABLE_STATES")
     tables, final_codes = _predecessor_tables(rule, states, width)
     init_index = int(np.flatnonzero(final_codes == init)[0])
     final_ok = np.ones(final_codes.size, dtype=bool)
@@ -462,16 +469,16 @@ def exact_gamma_dp(
     microseconds per cell at any state count); more than 2**31 - 1 frontier
     codes B**width, the int32 range (domination width <= 19, [1,2] <= 15);
     a width over `width_cap`, if one is given; and work, reachable states x
-    length, over DP_WORK_CAP, read from the cache entry or checked as the
-    reachable-state search finds the states. The cached (variant, width)
-    entry holds the tables and the sweep of the first width columns (see the
-    module docstring), so a solve sweeps only the length - width columns
-    past them, and reads its witness back through its own log and then the
-    prefix's. `backpointer_bytes` is ceil(length / D) bytes per state with
-    more than one predecessor, D = 3 for domination (5 at width 1) and 5 for
-    [1,2], the most base-K digits a byte holds, K the largest predecessor
-    count; DP_WORK_CAP keeps it under 152 MB, so the witness is always
-    returned.
+    length, over DP_WORK_CAP, the states read from REACHABLE_STATES (a
+    width whose entry is None is refused at every length). The cached
+    (variant, width) entry holds the tables and the sweep of the first width
+    columns (see the module docstring), so a solve sweeps only the length -
+    width columns past them, and reads its witness back through its own log
+    and then the prefix's. `backpointer_bytes` is ceil(length / D) bytes per
+    state with more than one predecessor, D = 3 for domination (5 at width
+    1) and 5 for [1,2], the most base-K digits a byte holds, K the largest
+    predecessor count; DP_WORK_CAP keeps it under 152 MB, so the witness is
+    always returned.
     """
     _check_variant(variant)
     base = _RULES[variant][0].size
@@ -487,8 +494,14 @@ def exact_gamma_dp(
             "over the int32 code range 2**31 - 1")
     if width_cap is not None and width > width_cap:
         raise CapacityError(f"frontier width {width} exceeds cap {width_cap}")
+    total = REACHABLE_STATES[variant][width - 1]
+    if total is None or total * length > DP_WORK_CAP:
+        work = (f"frontier width {width} is, even at length {width},"
+                if total is None else f"{total} reachable frontier states x "
+                f"{length} columns = {total * length} (state, cell) pairs,")
+        raise CapacityError(f"{work} over DP_WORK_CAP = {DP_WORK_CAP}")
     tables, init_index, final_ok, row_states, prefix, prefix_logs = \
-        _frontier_tables(variant, width, length)
+        _frontier_tables(variant, width)
     values, logs = _sweep(tables, prefix, length - width)
     finals = np.where(final_ok, values, _INF)
     final_index = int(np.argmin(finals))
@@ -508,7 +521,7 @@ def exact_gamma_dp(
     choices, _, per_byte = _log_layout(tables)
     return OracleResult(
         dims=dims, variant=variant, value=value, witness=witness,
-        method="profile-dp", work=sum(row_states) * length,
+        method="profile-dp", work=total * length,
         states=max(row_states),
         backpointer_bytes=sum(choices) * -(-length // per_byte),
         row_states=row_states,

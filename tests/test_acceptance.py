@@ -155,13 +155,15 @@ def test_criterion_6_exact_dp_16x16_meets_formula():
 
 @pytest.mark.optional
 @pytest.mark.skipif(os.environ.get("GRIDDOM_RUN_OPTIONAL") != "1",
-                    reason="builds the tables of every wide width: ~60 s and "
-                           "~0.9 GB; set GRIDDOM_RUN_OPTIONAL=1 to run")
+                    reason="builds the tables of every wide width: ~40 s and "
+                           "~0.8 GB; set GRIDDOM_RUN_OPTIONAL=1 to run")
 def test_dp_log_bounded_by_work_cap_at_wide_widths():
     """The witness log bound of test_dp_log_bounded_by_work_cap at the widths
     whose tables take seconds to build, with their longest admissible
     lengths and logs in MB; every wider width within the int32 code range
-    is refused at its own square, so no solve there keeps a log."""
+    is refused at its own square, before any search, so no solve there
+    keeps a log. Each cold build checks its search against the width's
+    REACHABLE_STATES entry."""
     t0 = time.perf_counter()
     found = {(variant, width): longest_admissible_log(variant, width)
              for variant, widths in (("domination", range(13, 17)),

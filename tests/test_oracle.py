@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -132,7 +133,7 @@ def test_dp_witness_log_is_packed():
     """A 13x17 domination solve over cached tables peaks under 8 MB: its log
     holds three columns per byte (4.0 MB), where one byte per column took
     11.4 MB and the solve peaked at 14.1 MB."""
-    oracle._frontier_tables("domination", 13, 13)   # built outside the trace
+    oracle._frontier_tables("domination", 13)   # built outside the trace
     tracemalloc.start()
     try:
         res = exact_gamma_dp(GridDims(13, 17))
@@ -164,7 +165,7 @@ def test_dp_tables_are_pinned():
         for width in range(1, top + 1):
             oracle._table_cache.pop((variant, width), None)
             tables, init_index, final_ok, row_states, _, _ = \
-                oracle._frontier_tables(variant, width, width)
+                oracle._frontier_tables(variant, width)
             digest.update(repr((variant, width, init_index, row_states)).encode())
             arrays = [a for preds, place in tables for a in (*preds, place)]
             for a in arrays + [final_ok]:
@@ -183,8 +184,7 @@ def test_dp_swept_prefixes_are_pinned():
     for variant, top in (("domination", 9), ("one-two", 8)):
         for width in range(1, top + 1):
             oracle._table_cache.pop((variant, width), None)
-            *_, prefix, prefix_logs = oracle._frontier_tables(variant, width,
-                                                              width)
+            *_, prefix, prefix_logs = oracle._frontier_tables(variant, width)
             for a in [prefix, *prefix_logs]:
                 digest.update(repr((a.dtype.str, a.shape)).encode())
                 digest.update(np.ascontiguousarray(a).tobytes())
@@ -196,10 +196,9 @@ def longest_admissible_log(variant, width):
     """(L*, bytes): the longest length L* that DP_WORK_CAP and DP_CELL_CAP
     admit at this width, and the witness log of a solve of that length,
     sum(choices) * ceil(L* / D) bytes. The log grows with the length, so no
-    admissible solve of this width logs more. CapacityError if the width's
-    own square is over DP_WORK_CAP."""
-    tables, _, _, row_states, _, _ = oracle._frontier_tables(variant, width,
-                                                             width)
+    admissible solve of this width logs more. A cold build of the tables
+    checks their reachable states against the width's REACHABLE_STATES."""
+    tables, _, _, row_states, _, _ = oracle._frontier_tables(variant, width)
     choices, _, per_byte = oracle._log_layout(tables)
     longest = min(oracle.DP_WORK_CAP // sum(row_states),
                   oracle.DP_CELL_CAP // width)
@@ -284,36 +283,83 @@ def test_dp_width_ceiling_refuses_before_any_table(capsys):
             exact_gamma_dp(GridDims(width, width), variant, width_cap=width - 1)
 
 
-def test_dp_work_cap_stops_a_cold_search(monkeypatch):
-    """Over DP_WORK_CAP on a cold width, the reachable-state search stops as
-    soon as the states it has found, times the length, pass the cap: no
-    table is built, nothing is cached, and the search's peak stays in
-    proportion to cap / length (about 16 B per state; the full width-12
-    search peaks at about 3.4 MB)."""
-    cap, length = 2**20, 40
-    monkeypatch.setattr(oracle, "DP_WORK_CAP", cap)
+def forbid_search(monkeypatch):
+    """Make any reachable-state search or table build fail the test."""
+    def no_search(*args):
+        raise AssertionError("searched or built tables for a refused solve")
+
+    monkeypatch.setattr(oracle, "_reachable_states", no_search)
+    monkeypatch.setattr(oracle, "_predecessor_tables", no_search)
+
+
+def test_reachable_states_table_covers_the_int32_widths():
+    """REACHABLE_STATES has one entry per width within the int32 code range,
+    19 for domination and 15 for [1,2]. An entry is None exactly where the
+    width's own square is over DP_WORK_CAP, domination 17-19 and [1,2] 15,
+    and every other entry admits its square."""
+    assert oracle.DP_WORK_CAP == 2**30
+    for variant, size, over in (("domination", 19, {17, 18, 19}),
+                                ("one-two", 15, {15})):
+        totals = oracle.REACHABLE_STATES[variant]
+        base = oracle._RULES[variant][0].size
+        assert len(totals) == size
+        assert base ** size <= 2**31 - 1 < base ** (size + 1)
+        assert {w for w, t in enumerate(totals, 1) if t is None} == over
+        assert all(t * w <= oracle.DP_WORK_CAP
+                   for w, t in enumerate(totals, 1) if t is not None)
+
+
+def test_dp_cold_build_checks_its_reachable_states_entry(monkeypatch):
+    """A cold table build whose search finds other than its width's
+    REACHABLE_STATES total raises AssertionError and caches nothing."""
+    totals = list(oracle.REACHABLE_STATES["one-two"])
+    totals[4] += 1
+    monkeypatch.setitem(oracle.REACHABLE_STATES, "one-two", tuple(totals))
     oracle._table_cache.clear()
-
-    def no_tables(*args):
-        raise AssertionError("tables built over the work cap")
-
-    monkeypatch.setattr(oracle, "_predecessor_tables", no_tables)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match=f"over DP_WORK_CAP = {cap}"):
-            exact_gamma_dp(GridDims(12, length))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with pytest.raises(AssertionError, match="REACHABLE_STATES"):
+        exact_gamma_dp(GridDims(5, 5), "one-two")
     assert not oracle._table_cache
-    assert peak < 32 * cap / length, peak
+
+
+def test_dp_work_cap_stops_a_cold_search(monkeypatch):
+    """Over DP_WORK_CAP, a cold solve is refused before any search, on the
+    work its width's REACHABLE_STATES entry gives: no search runs, no table
+    is built, nothing is cached, and each refusal takes under 0.1 s with a
+    traced peak under 64 KiB (about 1 KB). Domination 17-19 and [1,2] 15
+    (entries None) are refused at their own square, domination 16x40 and
+    [1,2] 14x30 by their length; with the cap checked inside the search each
+    cost 2.8-7.2 s and 175-794 MiB max RSS on a 2-vCPU VM. 12x40 is refused
+    under a cap lowered to 2**20."""
+    forbid_search(monkeypatch)
+    oracle._table_cache.clear()
+    for variant, m, n, cap in (("domination", 17, 17, 2**30),
+                               ("domination", 18, 18, 2**30),
+                               ("domination", 19, 19, 2**30),
+                               ("one-two", 15, 15, 2**30),
+                               ("domination", 16, 40, 2**30),
+                               ("one-two", 14, 30, 2**30),
+                               ("domination", 12, 40, 2**20)):
+        monkeypatch.setattr(oracle, "DP_WORK_CAP", cap)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(CapacityError,
+                               match=f"over DP_WORK_CAP = {cap}"):
+                exact_gamma_dp(GridDims(m, n), variant)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not oracle._table_cache, (variant, m, n)
+        assert elapsed < 0.1 and peak < 2**16, (variant, m, n, elapsed, peak)
 
 
 def test_dp_work_cap_admits_its_bound(monkeypatch):
     """A solve whose work equals DP_WORK_CAP is accepted, cold and warm; one
-    pair less refuses it, warm (the work read from the cache entry) and
-    cold (the search stopped)."""
+    pair less refuses it, warm (tables cached) and cold (no search runs and
+    nothing is cached): either way the work is read from REACHABLE_STATES."""
     expected = exact_gamma_dp(GridDims(6, 9))
+    assert expected.work == oracle.REACHABLE_STATES["domination"][5] * 9
     monkeypatch.setattr(oracle, "DP_WORK_CAP", expected.work)
     oracle._table_cache.clear()
     assert exact_gamma_dp(GridDims(6, 9)) == expected       # cold
@@ -322,25 +368,38 @@ def test_dp_work_cap_admits_its_bound(monkeypatch):
     with pytest.raises(CapacityError, match="DP_WORK_CAP"):
         exact_gamma_dp(GridDims(6, 9))
     oracle._table_cache.clear()
+    forbid_search(monkeypatch)
     with pytest.raises(CapacityError, match="DP_WORK_CAP"):
         exact_gamma_dp(GridDims(6, 9))
     assert not oracle._table_cache
 
 
-def test_dp_work_cap_refuses_12x1723():
+def test_dp_work_cap_refuses_12x1723(monkeypatch):
     """At the real cap, width 12's 623190 reachable states admit a length of
     1722 (1073133180 pairs, a sweep of about 4 s) and refuse 1723
-    (1073756370 > 2**30), cold or cached, well within DP_CELL_CAP."""
+    (1073756370 > 2**30), cold with no search run, or cached, well within
+    DP_CELL_CAP."""
     assert oracle.DP_WORK_CAP == 2**30
+    searched = []
+    search = oracle._reachable_states
+
+    def counting(rule, width, init):
+        searched.append(width)
+        return search(rule, width, init)
+
+    monkeypatch.setattr(oracle, "_reachable_states", counting)
     oracle._table_cache.pop(("domination", 12), None)
     with pytest.raises(CapacityError, match="over DP_WORK_CAP = 1073741824"):
         exact_gamma_dp(GridDims(1723, 12))
+    assert searched == []
     assert ("domination", 12) not in oracle._table_cache
     res = exact_gamma_dp(GridDims(12, 12))
+    assert searched == [12]
     assert sum(res.row_states) == 623190
     assert sum(res.row_states) * 1722 <= 2**30 < sum(res.row_states) * 1723
     with pytest.raises(CapacityError, match="1073756370 .state, cell. pairs"):
         exact_gamma_dp(GridDims(12, 1723))
+    assert searched == [12]
 
 
 def test_dp_cell_cap_refuses_before_any_table(capsys, monkeypatch):
@@ -444,7 +503,7 @@ def test_dp_solves_sweep_only_the_columns_past_the_cached_prefix(
 def test_dp_cached_tables_are_read_only():
     exact_gamma_dp(GridDims(5, 7), "one-two")
     tables, _, final_ok, _, prefix, prefix_logs = oracle._frontier_tables(
-        "one-two", 5, 7)
+        "one-two", 5)
     preds, place = tables[0]
     for array in (preds[0], preds[-1], place, final_ok, prefix,
                   *prefix_logs):
@@ -503,8 +562,7 @@ def test_dp_table_indices_are_uint16_where_the_states_fit():
                                      + prefix_bytes * choices)
         assert prefix.nbytes + sum(log.nbytes for log in prefix_logs) == \
             size - table_size
-    tables, _, _, row_states, _, _ = oracle._frontier_tables("domination", 13,
-                                                             13)
+    tables, _, _, row_states, _, _ = oracle._frontier_tables("domination", 13)
     assert min(row_states) > 2**16
     assert {p.dtype for row, _ in tables for p in row} == {np.dtype(np.int32)}
 
@@ -516,7 +574,7 @@ def test_dp_cold_table_build_allocates_no_dense_lookup():
     oracle._table_cache.pop(("domination", 12), None)
     tracemalloc.start()
     try:
-        oracle._frontier_tables("domination", 12, 12)
+        oracle._frontier_tables("domination", 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -529,7 +587,7 @@ def test_dp_cold_search_allocates_no_dense_mask():
     rule = oracle._RULES["one-two"]
     tracemalloc.start()
     try:
-        states = oracle._reachable_states(rule, 10, (4 ** 10 - 1) // 3, 10)
+        states = oracle._reachable_states(rule, 10, (4 ** 10 - 1) // 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -216,6 +216,10 @@ def test_cli_oracle_capacity(capsys):
     assert main(["oracle", "--m", "12", "--n", "1723"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "DP_WORK_CAP" in captured.err
+    # so is a width whose own square is over it, before any search
+    assert main(["oracle", "--m", "17", "--n", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DP_WORK_CAP" in captured.err
     # the width cap is no longer an option
     assert main(["oracle", "--m", "5", "--n", "5", "--width-cap", "5"]) == 2
 
