@@ -21,17 +21,11 @@ from .render import (document_dims, document_to_pattern, dumps_pattern,
 from .verify import corner_multiplicity_check, count_cross_check, verify_pattern
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
-# Largest m*n that verify, sweep, oracle and construct --format ascii/svg
-# accept, and largest member count that construct --format json, crosscheck
+# Largest m*n that verify, sweep and construct --format ascii/svg accept,
+# and largest member count that construct --format json, crosscheck
 # and bench accept: their memory grows with it, so a larger grid is refused
 # before anything is built.
 MAX_CELLS = 25_000_000
-
-
-def _dims(m: int, n: int) -> GridDims:
-    if min(m, n) < MIN_SIDE:
-        raise ValueError(f"m and n must be >= {MIN_SIDE}; got {m}x{n}")
-    return GridDims(m, n)
 
 
 def _within_budget(dims: GridDims) -> GridDims:
@@ -50,7 +44,7 @@ def _members_within_budget(dims: GridDims) -> None:
 
 
 def cmd_construct(args) -> int:
-    dims = _dims(args.m, args.n)
+    dims = GridDims(args.m, args.n)
     if args.format != "json":
         _within_budget(dims)
     _members_within_budget(dims)
@@ -92,6 +86,8 @@ def _verdict_payload(p) -> dict:
             "passed": corners.passed,
             "coverage": {f"{v.row},{v.col}": cnt
                          for v, cnt in sorted(corners.corner_coverage.items())},
+            "forbidden_pairs": [[list(a), list(b)]
+                                for a, b in corners.forbidden_pairs_present],
         },
         "total_coverage_within_two": verdict.total_coverage_within_two,
         "ok": verdict.ok,
@@ -110,25 +106,26 @@ def cmd_verify(args) -> int:
             raise ValueError(
                 f"parse error in {args.input} at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}")
+        except RecursionError:
+            raise ValueError(f"parse error in {args.input}: nested too deeply")
         _within_budget(document_dims(doc))
         p = document_to_pattern(doc)
     else:
         if args.m is None or args.n is None:
             raise ValueError("verify needs --input or both --m and --n")
-        p = construct(_within_budget(_dims(args.m, args.n)))
+        p = construct(_within_budget(GridDims(args.m, args.n)))
     payload = _verdict_payload(p)
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK if payload["ok"] else EXIT_FAIL
 
 
 def cmd_gamma(args) -> int:
-    dims = _dims(args.m, args.n)
-    sys.stdout.write(f"{gamma_formula(dims)}\n")
+    sys.stdout.write(f"{gamma_formula(GridDims(args.m, args.n))}\n")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    dims = _within_budget(GridDims(args.m, args.n))
+    dims = GridDims(args.m, args.n)
     if args.method == "brute":
         res = exact_gamma_bruteforce(dims, variant=args.variant)
     else:
@@ -249,7 +246,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    dims = _dims(args.m, args.n)
+    dims = GridDims(args.m, args.n)
     _members_within_budget(dims)
     p = construct(dims)
     cc = count_cross_check(p)

@@ -40,19 +40,15 @@ def pattern_class(dims: GridDims) -> tuple[int, int]:
 
 def gamma_formula(dims: GridDims) -> int:
     """Optimal domination number floor((m+2)(n+2)/5) - 4, valid for m, n >= 16."""
-    if min(dims.m, dims.n) < MIN_SIDE:
-        raise ValueError(
-            f"the closed form holds only for m, n >= {MIN_SIDE}; "
-            f"got {dims.m}x{dims.n} (use the oracle module for small grids)"
-        )
+    _check_dims(dims)
     return (dims.m + 2) * (dims.n + 2) // 5 - 4
 
 
 def _check_dims(dims: GridDims) -> None:
     if min(dims.m, dims.n) < MIN_SIDE:
         raise ValueError(
-            f"the construction requires m, n >= {MIN_SIDE}; got {dims.m}x{dims.n} "
-            "(the oracle module solves small grids exactly)"
+            f"the closed form and the construction need m, n >= {MIN_SIDE}; "
+            f"got {dims.m}x{dims.n} (the oracle module solves small grids exactly)"
         )
 
 

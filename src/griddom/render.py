@@ -19,7 +19,6 @@ LEGEND = {"empty": ".", "black": "B", "white": "W"}
 @dataclass(frozen=True)
 class RenderedGrid:
     lines: tuple[str, ...]
-    legend: dict[str, str]
 
     def __str__(self) -> str:
         return "\n".join(self.lines)
@@ -37,7 +36,7 @@ def render_ascii(p: PatternSet, rulers: bool = False) -> RenderedGrid:
         width = len(str(m))
         header = " " * (width + 1) + "".join(str(c % 10) for c in range(1, n + 1))
         lines = [header] + [f"{r:>{width}} {line}" for r, line in enumerate(lines, 1)]
-    return RenderedGrid(lines=tuple(lines), legend=dict(LEGEND))
+    return RenderedGrid(lines=tuple(lines))
 
 
 def _decimal(hundredths: int) -> str:

@@ -3,7 +3,7 @@
 All checks run in O(m*n) time and memory via numpy shift-sums over one padded
 indicator array, filled from the members' coordinate arrays by fancy
 indexing; counterexample lists are reported in row-major order and capped
-(default 32) with exact totals alongside.
+at COUNTEREXAMPLE_CAP with exact totals alongside.
 """
 
 from dataclasses import dataclass, field
@@ -30,13 +30,11 @@ def _open_counts(ind: np.ndarray) -> np.ndarray:
     return (ind[:-2, 1:-1] + ind[2:, 1:-1] + ind[1:-1, :-2] + ind[1:-1, 2:])
 
 
-def _vertices(mask: np.ndarray, cap: int | None = COUNTEREXAMPLE_CAP, offset: int = 1):
+def _vertices(mask: np.ndarray, offset: int = 1):
     total = int(np.count_nonzero(mask))
     if not total:
         return (), 0
-    hits = np.argwhere(mask)          # row-major order
-    if cap is not None:
-        hits = hits[:cap]
+    hits = np.argwhere(mask)[:COUNTEREXAMPLE_CAP]      # row-major order
     return tuple(Vertex(int(r) + offset, int(c) + offset) for r, c in hits), total
 
 
@@ -61,21 +59,21 @@ class CoverageReport:
         return int((self.open_counts + self.member_mask).max())
 
 
-def coverage_map(dims: GridDims, members, cap: int | None = COUNTEREXAMPLE_CAP) -> CoverageReport:
+def coverage_map(dims: GridDims, members) -> CoverageReport:
     """Count, for every vertex, its neighbors inside the candidate set.
 
     members is a (k, 2) array-like of (row, col) pairs, e.g. a set of Vertex.
     """
-    return _coverage(dims, _indicator(dims, members), cap)
+    return _coverage(dims, _indicator(dims, members))
 
 
-def _coverage(dims: GridDims, ind: np.ndarray, cap: int | None) -> CoverageReport:
+def _coverage(dims: GridDims, ind: np.ndarray) -> CoverageReport:
     open_counts = _open_counts(ind)
     member_mask = ind[1:-1, 1:-1].astype(bool)
     undom_mask = ~member_mask & (open_counts == 0)
     over_mask = ~member_mask & (open_counts > 2)
-    undominated, undom_total = _vertices(undom_mask, cap)
-    over, over_total = _vertices(over_mask, cap)
+    undominated, undom_total = _vertices(undom_mask)
+    over, over_total = _vertices(over_mask)
     return CoverageReport(
         dims=dims,
         cardinality=int(member_mask.sum()),
@@ -98,7 +96,7 @@ class CheckResult:
     counterexamples: tuple = ()
 
 
-def _unique_coverage(ind: np.ndarray, cap: int | None) -> CheckResult:
+def _unique_coverage(ind: np.ndarray) -> CheckResult:
     """The "interior_unique" check, from the padded indicator of the black
     members: every sub-grid vertex must see exactly one black member in its
     closed neighborhood, and every degree-4 vertex at most one."""
@@ -109,7 +107,7 @@ def _unique_coverage(ind: np.ndarray, cap: int | None) -> CheckResult:
         # the four near-corner cells are outside the sub-grid: at most one
         for r, c in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
             bad[r, c] = inner[r, c] > 1
-    cells, total = _vertices(bad, cap, offset=2)
+    cells, total = _vertices(bad, offset=2)
     return CheckResult(
         "interior_unique", total == 0,
         detail=f"{total} interior vertices off" if total else "",
@@ -137,12 +135,8 @@ class PatternVerdict:
                 return c
         raise KeyError(name)
 
-    def summary(self) -> str:
-        parts = [f"{c.name}={'pass' if c.passed else 'FAIL'}" for c in self.checks]
-        return f"{self.dims.m}x{self.dims.n}: " + " ".join(parts)
 
-
-def verify_pattern(p: PatternSet, cap: int | None = COUNTEREXAMPLE_CAP) -> PatternVerdict:
+def verify_pattern(p: PatternSet) -> PatternVerdict:
     """Run the four gating checks on a pattern.
 
     Provenance is ignored except that the uniqueness check, by definition,
@@ -152,9 +146,9 @@ def verify_pattern(p: PatternSet, cap: int | None = COUNTEREXAMPLE_CAP) -> Patte
     """
     dims = p.dims
     ind = _indicator(dims, p.black_rc)
-    uniq = _unique_coverage(ind, cap)
+    uniq = _unique_coverage(ind)
     ind[p.white_rc[:, 0], p.white_rc[:, 1]] = 1
-    report = _coverage(dims, ind, cap)
+    report = _coverage(dims, ind)
     dom = CheckResult(
         "dominating", report.is_dominating,
         detail=f"{report.undominated_total} undominated" if not report.is_dominating else "",

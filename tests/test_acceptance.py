@@ -76,7 +76,8 @@ def test_criterion_1_reference_sizes():
 
 def test_criterion_2_formula_sweep(sweep_results):
     results, elapsed = sweep_results
-    failures = [(d.m, d.n, v.summary()) for d, v in results if not v.ok]
+    failures = [(d.m, d.n, [c.name for c in v.checks if not c.passed])
+                for d, v in results if not v.ok]
     ok = report(2, f"formula sweep [{SWEEP_LO},{SWEEP_HI}]^2 (4 checks x "
                    f"{len(results)} grids, < 30 s)",
                 not failures and elapsed < 30,

@@ -1,7 +1,7 @@
 import pytest
 
 from griddom import (DEVIATIONS, GridDims, construct, gamma_formula,
-                     load_ledger, pattern_class, verify_pattern)
+                     load_ledger, pattern_class, verify, verify_pattern)
 from griddom.construction import SIDES, PatternSet, _entry, build
 from griddom.deviations import BY_ID, class_edit, expected_table_mismatches
 
@@ -46,12 +46,13 @@ def test_no_two_records_of_a_class_set_the_same_edit_key():
         assert set(keys) == set(merged)
 
 
-def test_counterexamples_replay_against_baseline():
+def test_counterexamples_replay_against_baseline(monkeypatch):
     """Each table-correction entry's counterexamples, one grid per class it
     covers, must really occur when the baseline tables are used, and
     construct() must mend them. A counterexample with no undominated cells
     is a baseline that dominates, is a [1,2]-set and covers the sub-grid
     once, but is too large or reaches past the grid."""
+    monkeypatch.setattr(verify, "COUNTEREXAMPLE_CAP", 10**6)    # list them all
     for entry in DEVIATIONS:
         if entry.kind != "table-correction":
             continue
@@ -59,7 +60,7 @@ def test_counterexamples_replay_against_baseline():
         assert sorted(map(pattern_class, dims_of)) == sorted(entry.classes), entry.id
         for ce, dims in zip(entry.counterexamples, dims_of):
             base = PatternSet(dims, *build(dims, {}))
-            v = verify_pattern(base, cap=None)
+            v = verify_pattern(base)
             if "baseline_cardinality" in ce:
                 assert base.cardinality == ce["baseline_cardinality"], entry.id
             if "optimal" in ce:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (GridDims, Vertex, coverage_map, residue_class,
+from griddom import (GridDims, Vertex, coverage_map, residue_class, verify,
                      verify_pattern)
 from griddom.construction import PatternSet
 
@@ -21,7 +21,7 @@ def _cells(dims):
 
 def _neighbors(v, dims):
     """The vertices the verifier counts v as adjacent to."""
-    counts = coverage_map(dims, [v], cap=None).open_counts
+    counts = coverage_map(dims, [v]).open_counts
     return {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*counts.nonzero())}
 
 
@@ -32,7 +32,9 @@ def _frame(dims):
 def _subgrid(dims):
     """Vertices the interior_unique check requires to be covered exactly
     once: with no disks, each of them is reported."""
-    res = verify_pattern(PatternSet(dims, (), ()), cap=None).check("interior_unique")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "COUNTEREXAMPLE_CAP", dims.m * dims.n)
+        res = verify_pattern(PatternSet(dims, (), ())).check("interior_unique")
     return {v for v, _ in res.counterexamples}
 
 
@@ -58,7 +60,7 @@ def test_neighbors_out_of_bounds():
 
 def test_closed_neighborhood():
     def covered(v):
-        report = coverage_map(D16, [v], cap=None)
+        report = coverage_map(D16, [v])
         closed = report.open_counts + report.member_mask
         return {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*closed.nonzero())}
     assert covered((1, 1)) == {(1, 1), (1, 2), (2, 1)}

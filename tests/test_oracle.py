@@ -405,8 +405,8 @@ def test_dp_work_cap_refuses_12x1723(monkeypatch):
 def test_dp_cell_cap_refuses_before_any_table(capsys, monkeypatch):
     """A grid over DP_CELL_CAP cells is refused before any table or log is
     built, however narrow: a thin strip costs tens of microseconds per cell.
-    The CLI's 2x12500000 is within its own MAX_CELLS budget, and exits 2
-    without output at once."""
+    The CLI's 2x12500000 is refused by it too, and exits 2 without output
+    at once."""
     assert oracle.DP_CELL_CAP == 10**6
     oracle._table_cache.clear()
     with pytest.raises(CapacityError, match="1000002 > 1000000 cells"):

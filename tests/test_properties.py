@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from griddom import (GridDims, construct, document_to_pattern, dumps_document,
-                     gamma_formula, pattern_to_document, verify_pattern)
+                     gamma_formula, pattern_to_document, verify, verify_pattern)
 from griddom.cli import main
 from griddom.construction import PatternSet
 from griddom.render import DocumentError
@@ -100,7 +100,9 @@ def test_verify_pattern_agrees_with_a_recount(dims, data):
         if cell not in black and cell not in white:
             (black if data.draw(st.booleans()) else white).append(cell)
     q = PatternSet(dims, black, white)
-    v = verify_pattern(q, cap=None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "COUNTEREXAMPLE_CAP", m * n)
+        v = verify_pattern(q)
     want = _recount(m, n, black, white)
     assert v.cardinality == want["size"] == q.cardinality
     assert v.check("dominating").passed == (want["undominated"] == 0)

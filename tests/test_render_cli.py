@@ -11,7 +11,7 @@ import pytest
 from griddom import (GridDims, OracleResult, construct, count_cross_check,
                      document_to_pattern, dumps_document, exact_gamma_dp,
                      pattern_to_document, render_ascii, render_svg)
-from griddom import cli
+from griddom import cli, oracle
 from griddom.cli import main
 from griddom.construction import PatternSet
 from griddom.render import DocumentError, _centres, dumps_pattern
@@ -25,8 +25,7 @@ def test_ascii_render_16x16():
     joined = "".join(art.lines)
     assert joined.count("B") == len(p.black) == 48
     assert joined.count("W") == len(p.white) == 12
-    assert set(joined) <= {".", "B", "W"}
-    assert art.legend == {"empty": ".", "black": "B", "white": "W"}
+    assert joined.count(".") == 16 * 16 - 60
 
 
 def test_ascii_rulers():
@@ -225,14 +224,19 @@ def test_cli_oracle_capacity(capsys):
 
 
 def test_cli_oracle_refuses_grids_over_the_cell_budget(capsys, monkeypatch):
-    # the DP's log and witness grow with m*n, so a grid over the budget is
-    # refused before any table or log is built, however narrow it is
-    monkeypatch.setattr(cli, "MAX_CELLS", 100)
-    assert main(["oracle", "--m", "2", "--n", "60"]) == 2
+    # each method's own cell cap refuses a grid before any table or log is
+    # built, however narrow it is; the cap itself is accepted
+    monkeypatch.setattr(oracle, "DP_CELL_CAP", 100)
+    assert main(["oracle", "--m", "2", "--n", "51"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "2x60 grid has 120 cells" in captured.err
+    assert captured.err == "error: 2x51 has 102 > 100 cells (DP_CELL_CAP)\n"
     assert main(["oracle", "--m", "2", "--n", "50"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--m", "3", "--n", "7", "--method", "brute"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "21 > 20 cells" in captured.err
+    assert main(["oracle", "--m", "4", "--n", "5", "--method", "brute"]) == 0
 
 
 def test_cli_oracle_payload_is_the_result_fields(capsys):
@@ -285,7 +289,21 @@ def test_cli_verify_corner_check_stays_on_narrow_grids(tmp_path, capsys, m, n,
     assert main(["verify", "--input", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["corner_check"] == {"passed": True, "coverage": {}}
+    assert payload["corner_check"] == {"passed": True, "coverage": {},
+                                       "forbidden_pairs": []}
+
+
+def test_cli_verify_reports_forbidden_corner_pairs(tmp_path, capsys):
+    """Both frame whites beside a corner fail the corner check, and the
+    JSON names the pair."""
+    doc = pattern_to_document(construct(GridDims(16, 16)))
+    doc["white"] = sorted(set(map(tuple, doc["white"])) | {(1, 2), (2, 1)})
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 1
+    corner = json.loads(capsys.readouterr().out)["corner_check"]
+    assert corner["passed"] is False
+    assert corner["forbidden_pairs"] == [[[1, 2], [2, 1]]]
 
 
 def test_cli_verify_truncated_json(tmp_path, capsys):
@@ -297,6 +315,36 @@ def test_cli_verify_truncated_json(tmp_path, capsys):
 
 def test_cli_verify_needs_args(capsys):
     assert main(["verify"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200000 + "]" * 200000,
+    '{"schema_version": 1, "m": 16, "n": 16, "white": [], "black": '
+    + "[" * 5000 + "]" * 5000 + "}",
+], ids=["bare", "in-black"])
+def test_cli_verify_deeply_nested_json(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["verify", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--format", "ascii"], ["construct", "--format", "json"],
+    ["construct", "--format", "svg"], ["verify"], ["gamma"], ["crosscheck"],
+])
+def test_cli_refuses_sides_below_16(capsys, argv):
+    """construct, verify --m/--n, gamma and crosscheck refuse a side of 15
+    with the one message of the construction's size check."""
+    for m, n in ((15, 20), (20, 15)):
+        assert main(argv + ["--m", str(m), "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: the closed form and the construction need m, n "
+                       f">= 16; got {m}x{n} (the oracle module solves small "
+                       "grids exactly)\n")
 
 
 def test_cli_sweep_all_green(tmp_path, capsys):

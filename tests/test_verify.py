@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from griddom import (GridDims, Vertex, cli, construct,
                      corner_multiplicity_check, count_cross_check,
-                     coverage_map, gamma_formula, verify_pattern)
+                     coverage_map, gamma_formula, verify, verify_pattern)
 from griddom.construction import PatternSet
 
 
@@ -22,12 +22,18 @@ def test_coverage_map_full_and_empty():
     assert len(empty.undominated) == 9
 
 
-def test_coverage_counterexample_cap():
+def test_coverage_counterexample_cap(monkeypatch):
     d = GridDims(10, 10)
-    r = coverage_map(d, set(), cap=5)
+    r = coverage_map(d, set())
+    assert verify.COUNTEREXAMPLE_CAP == 32
     assert r.undominated_total == 100
-    assert len(r.undominated) == 5
-    assert r.undominated == tuple(Vertex(1, c) for c in range(1, 6))  # row-major
+    assert r.undominated == tuple(Vertex(i // 10 + 1, i % 10 + 1)
+                                  for i in range(32))  # row-major
+    # the cap is read at call time
+    monkeypatch.setattr(verify, "COUNTEREXAMPLE_CAP", 5)
+    r = coverage_map(d, set())
+    assert r.undominated_total == 100
+    assert r.undominated == tuple(Vertex(1, c) for c in range(1, 6))
 
 
 def test_coverage_counts_semantics():
@@ -86,12 +92,14 @@ def test_verify_is_provenance_oblivious():
     assert verify_pattern(swapped).ok == verify_pattern(p).ok
 
 
-def test_interior_unique_coverage():
+def test_interior_unique_coverage(monkeypatch):
     d = GridDims(16, 16)
-    def unique(black, **kw):
-        return verify_pattern(PatternSet(d, black, ()), **kw).check("interior_unique")
+    def unique(black):
+        return verify_pattern(PatternSet(d, black, ())).check("interior_unique")
     assert unique(construct(d).black_rc).passed
-    bad = unique({(8, 8), (8, 9)}, cap=None)
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "COUNTEREXAMPLE_CAP", d.m * d.n)
+        bad = unique({(8, 8), (8, 9)})
     assert not bad.passed
     over = {v: c for v, c in bad.counterexamples}
     assert over[(8, 8)] == 2 and over[(8, 9)] == 2    # adjacent disks double-cover
@@ -186,12 +194,6 @@ def test_unledgered_white_offset_is_unexplained(monkeypatch, capsys):
     monkeypatch.setattr(cli, "construct", lambda dims: with_whites(dims, 2))
     assert cli.main(["crosscheck", "--m", "16", "--n", "16"]) == 1
     assert "white: table 13, actual 14: MISMATCH (unexplained)" in capsys.readouterr().out
-
-
-def test_verdict_summary_format():
-    v = verify_pattern(construct(GridDims(16, 21)))
-    s = v.summary()
-    assert s.startswith("16x21:") and "dominating=pass" in s
 
 
 @given(st.builds(GridDims, st.integers(16, 40), st.integers(16, 40)),
