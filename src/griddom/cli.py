@@ -13,7 +13,7 @@ import time
 import tracemalloc
 from dataclasses import fields
 
-from .construction import MIN_SIDE, construct, gamma_formula
+from .construction import _check_dims, construct, gamma_formula
 from .grid import GridDims
 from .oracle import exact_gamma_bruteforce, exact_gamma_dp
 from .render import (document_dims, document_to_pattern, dumps_pattern,
@@ -153,8 +153,7 @@ def cmd_sweep(args) -> int:
     n_range = _parse_range(args.n_range)
     if not m_range or not n_range:
         raise ValueError("empty sweep range")
-    if min(m_range.start, n_range.start) < MIN_SIDE:
-        raise ValueError(f"sweep ranges must start at {MIN_SIDE} or above")
+    _check_dims(GridDims(m_range.start, n_range.start))
     _within_budget(GridDims(max(m_range), max(n_range)))
     all_ok = True
     try:
@@ -226,8 +225,7 @@ def cmd_bench(args) -> int:
         raise ValueError(f"bad sizes list {args.sizes!r}")
     if not sizes:
         raise ValueError("empty sizes list")
-    if min(sizes) < MIN_SIDE:
-        raise ValueError(f"bench sizes must be >= {MIN_SIDE}")
+    _check_dims(GridDims(min(sizes), min(sizes)))
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1; got {args.repeats}")
     _members_within_budget(GridDims(max(sizes), max(sizes)))

@@ -1,12 +1,15 @@
 """Coverage verification: domination, [1,2] bounds, cardinality, uniqueness.
 
-All checks run in O(m*n) time and memory via numpy shift-sums over one padded
-indicator array, filled from the members' coordinate arrays by fancy
-indexing; counterexample lists are reported in row-major order and capped
-at COUNTEREXAMPLE_CAP with exact totals alongside.
+All checks run in O(m*n) time and memory from one closed-neighbourhood
+count array per member set, taken by numpy shift-sums over a padded
+indicator that is filled from the members' coordinate arrays by fancy
+indexing. Each check turns one mask into its counterexamples: the first
+COUNTEREXAMPLE_CAP in row-major order, listed from the rows that hold them
+only, with the exact total alongside. So a failing pattern needs no more
+memory than a passing one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +28,33 @@ def _indicator(dims: GridDims, members) -> np.ndarray:
     return ind
 
 
-def _open_counts(ind: np.ndarray) -> np.ndarray:
-    """|N(v) & D| for every vertex, from the padded indicator."""
-    return (ind[:-2, 1:-1] + ind[2:, 1:-1] + ind[1:-1, :-2] + ind[1:-1, 2:])
+def _closed_counts(ind: np.ndarray) -> np.ndarray:
+    """|N[v] & D| for every vertex, v itself counted, from the padded indicator."""
+    return (ind[1:-1, 1:-1] + ind[:-2, 1:-1] + ind[2:, 1:-1]
+            + ind[1:-1, :-2] + ind[1:-1, 2:])
 
 
 def _vertices(mask: np.ndarray, offset: int = 1):
+    """The first COUNTEREXAMPLE_CAP hits of mask in row-major order, and the
+    total; only the rows up to the one holding the last listed hit are read."""
     total = int(np.count_nonzero(mask))
     if not total:
         return (), 0
+    if total > COUNTEREXAMPLE_CAP:
+        per_row = np.cumsum(np.count_nonzero(mask, axis=1))
+        mask = mask[:int(np.searchsorted(per_row, COUNTEREXAMPLE_CAP)) + 1]
     hits = np.argwhere(mask)[:COUNTEREXAMPLE_CAP]      # row-major order
     return tuple(Vertex(int(r) + offset, int(c) + offset) for r, c in hits), total
 
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Per-vertex domination multiplicities for a candidate set."""
+    """Domination and [1,2] verdicts of a candidate set D, each with its
+    capped, row-major counterexample list and exact total.
+
+    not_one_two lists the vertices that break the [1,2] bound: the
+    undominated ones and the non-members with more than two neighbours in D.
+    """
 
     dims: GridDims
     cardinality: int
@@ -48,19 +62,13 @@ class CoverageReport:
     is_one_two: bool
     undominated: tuple[Vertex, ...]
     undominated_total: int
-    over_dominated: tuple[Vertex, ...]
-    over_dominated_total: int
-    member_mask: np.ndarray = field(repr=False)
-    open_counts: np.ndarray = field(repr=False)
-
-    @property
-    def max_total_coverage(self) -> int:
-        """Largest |N[v] & D| over all vertices, members included."""
-        return int((self.open_counts + self.member_mask).max())
+    not_one_two: tuple[Vertex, ...]
+    not_one_two_total: int
+    max_total_coverage: int       # largest |N[v] & D|, members included
 
 
 def coverage_map(dims: GridDims, members) -> CoverageReport:
-    """Count, for every vertex, its neighbors inside the candidate set.
+    """Check a candidate set for domination and the [1,2] bound.
 
     members is a (k, 2) array-like of (row, col) pairs, e.g. a set of Vertex.
     """
@@ -68,23 +76,22 @@ def coverage_map(dims: GridDims, members) -> CoverageReport:
 
 
 def _coverage(dims: GridDims, ind: np.ndarray) -> CoverageReport:
-    open_counts = _open_counts(ind)
-    member_mask = ind[1:-1, 1:-1].astype(bool)
-    undom_mask = ~member_mask & (open_counts == 0)
-    over_mask = ~member_mask & (open_counts > 2)
+    closed = _closed_counts(ind)
+    undom_mask = closed == 0
     undominated, undom_total = _vertices(undom_mask)
-    over, over_total = _vertices(over_mask)
+    # a non-member's closed count is its open one
+    bad_mask = undom_mask | ((closed > 2) & (ind[1:-1, 1:-1] == 0))
+    not_one_two, bad_total = _vertices(bad_mask)
     return CoverageReport(
         dims=dims,
-        cardinality=int(member_mask.sum()),
+        cardinality=int(np.count_nonzero(ind)),
         is_dominating=undom_total == 0,
-        is_one_two=undom_total == 0 and over_total == 0,
+        is_one_two=bad_total == 0,
         undominated=undominated,
         undominated_total=undom_total,
-        over_dominated=over,
-        over_dominated_total=over_total,
-        member_mask=member_mask,
-        open_counts=open_counts,
+        not_one_two=not_one_two,
+        not_one_two_total=bad_total,
+        max_total_coverage=int(closed.max()),
     )
 
 
@@ -100,7 +107,7 @@ def _unique_coverage(ind: np.ndarray) -> CheckResult:
     """The "interior_unique" check, from the padded indicator of the black
     members: every sub-grid vertex must see exactly one black member in its
     closed neighborhood, and every degree-4 vertex at most one."""
-    closed = _open_counts(ind) + ind[1:-1, 1:-1]
+    closed = _closed_counts(ind)
     inner = closed[1:-1, 1:-1]            # degree-4 vertices, from (2, 2)
     bad = inner != 1
     if inner.size:
@@ -158,8 +165,9 @@ def verify_pattern(p: PatternSet) -> PatternVerdict:
         "one_two", report.is_one_two,
         detail=("" if report.is_one_two else
                 f"{report.undominated_total} undominated, "
-                f"{report.over_dominated_total} non-members covered >2x"),
-        counterexamples=report.undominated + report.over_dominated,
+                f"{report.not_one_two_total - report.undominated_total} "
+                "non-members covered >2x"),
+        counterexamples=report.not_one_two,
     )
     if min(dims.m, dims.n) >= MIN_SIDE:
         expected = gamma_formula(dims)
@@ -170,13 +178,12 @@ def verify_pattern(p: PatternSet) -> PatternVerdict:
     else:
         expected = None
         card = CheckResult("cardinality", True, detail="no closed form below 16; skipped")
-    closed_max = report.max_total_coverage
     return PatternVerdict(
         dims=dims,
         checks=(dom, one_two, card, uniq),
         cardinality=report.cardinality,
         expected_cardinality=expected,
-        total_coverage_within_two=closed_max <= 2,
+        total_coverage_within_two=report.max_total_coverage <= 2,
     )
 
 

@@ -19,9 +19,17 @@ def _cells(dims):
     return {Vertex(r, c) for r, c in product(range(1, dims.m + 1), range(1, dims.n + 1))}
 
 
+def _counts(dims, members):
+    """The verifier's closed-neighbourhood member counts of every vertex,
+    and its open ones: the closed count less the vertex's own membership."""
+    ind = verify._indicator(dims, members)
+    closed = verify._closed_counts(ind)
+    return closed, closed - ind[1:-1, 1:-1]
+
+
 def _neighbors(v, dims):
     """The vertices the verifier counts v as adjacent to."""
-    counts = coverage_map(dims, [v]).open_counts
+    _, counts = _counts(dims, [v])
     return {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*counts.nonzero())}
 
 
@@ -60,8 +68,7 @@ def test_neighbors_out_of_bounds():
 
 def test_closed_neighborhood():
     def covered(v):
-        report = coverage_map(D16, [v])
-        closed = report.open_counts + report.member_mask
+        closed, _ = _counts(D16, [v])
         return {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*closed.nonzero())}
     assert covered((1, 1)) == {(1, 1), (1, 2), (2, 1)}
     assert len(covered((8, 8))) == 5
@@ -69,7 +76,7 @@ def test_closed_neighborhood():
 
 
 def test_boundary_16x16_matches_degree_count():
-    counts = coverage_map(D16, _cells(D16)).open_counts     # every vertex's degree
+    _, counts = _counts(D16, _cells(D16))     # every vertex's degree
     low = {Vertex(int(r) + 1, int(c) + 1) for r, c in zip(*(counts < 4).nonzero())}
     assert len(low) == 2 * 16 + 2 * 16 - 4 == 60
     assert low == _frame(D16)
@@ -77,7 +84,7 @@ def test_boundary_16x16_matches_degree_count():
 
 def test_boundary_degenerate_grids():
     for dims in (GridDims(2, 2), GridDims(1, 5)):
-        assert (coverage_map(dims, _cells(dims)).open_counts < 4).all()
+        assert (_counts(dims, _cells(dims))[1] < 4).all()
         assert _frame(dims) == _cells(dims)
 
 

@@ -107,7 +107,10 @@ def test_verify_pattern_agrees_with_a_recount(dims, data):
     assert v.cardinality == want["size"] == q.cardinality
     assert v.check("dominating").passed == (want["undominated"] == 0)
     assert len(v.check("dominating").counterexamples) == want["undominated"]
-    assert v.check("one_two").passed == (want["undominated"] == want["over"] == 0)
+    one_two = v.check("one_two")
+    assert one_two.passed == (want["undominated"] == want["over"] == 0)
+    assert len(one_two.counterexamples) == want["undominated"] + want["over"]
+    assert list(one_two.counterexamples) == sorted(one_two.counterexamples)
     assert v.check("cardinality").passed == (want["size"] == gamma_formula(dims))
     assert v.check("interior_unique").passed == (want["unique_bad"] == 0)
     assert len(v.check("interior_unique").counterexamples) == want["unique_bad"]

@@ -334,17 +334,25 @@ def test_cli_verify_deeply_nested_json(tmp_path, capsys, text):
 @pytest.mark.parametrize("argv", [
     ["construct", "--format", "ascii"], ["construct", "--format", "json"],
     ["construct", "--format", "svg"], ["verify"], ["gamma"], ["crosscheck"],
+    ["sweep", "--m-range", "{m}:30", "--n-range", "{n}:30", "--out", "{out}"],
+    ["bench", "--sizes", "{m},{n}"],
 ])
-def test_cli_refuses_sides_below_16(capsys, argv):
-    """construct, verify --m/--n, gamma and crosscheck refuse a side of 15
-    with the one message of the construction's size check."""
+def test_cli_refuses_sides_below_16(tmp_path, capsys, argv):
+    """construct, verify --m/--n, gamma, crosscheck, sweep and bench refuse
+    a side of 15 with the one message of the construction's size check; a
+    sweep writes no CSV."""
+    csv_path = tmp_path / "sweep.csv"
+    if argv[0] not in ("sweep", "bench"):
+        argv = argv + ["--m", "{m}", "--n", "{n}"]
     for m, n in ((15, 20), (20, 15)):
-        assert main(argv + ["--m", str(m), "--n", str(n)]) == 2
+        assert main([a.format(m=m, n=n, out=csv_path) for a in argv]) == 2
         out, err = capsys.readouterr()
+        got = "15x15" if argv[0] == "bench" else f"{m}x{n}"   # square grids
         assert out == ""
         assert err == (f"error: the closed form and the construction need m, n "
-                       f">= 16; got {m}x{n} (the oracle module solves small "
+                       f">= 16; got {got} (the oracle module solves small "
                        "grids exactly)\n")
+        assert not csv_path.exists()
 
 
 def test_cli_sweep_all_green(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -38,13 +40,45 @@ def test_coverage_counterexample_cap(monkeypatch):
 
 def test_coverage_counts_semantics():
     d = GridDims(3, 3)
+    ind = verify._indicator(d, {(2, 2)})
+    member = ind[1:-1, 1:-1]
+    closed = verify._closed_counts(ind)
+    open_counts = closed - member
+    assert member[1, 1] and member.sum() == 1
+    assert closed[1, 1] == 1              # a member's own cell is counted
+    assert open_counts[1, 1] == 0         # ... in the closed count only
+    assert open_counts[0, 1] == closed[0, 1] == 1
+    assert open_counts[0, 0] == closed[0, 0] == 0
     r = coverage_map(d, {(2, 2)})
-    assert r.member_mask[1, 1] and r.member_mask.sum() == 1
-    assert r.open_counts[1, 1] == 0       # a member's own cell is not counted
-    assert r.open_counts[0, 1] == 1
-    assert r.open_counts[0, 0] == 0
     assert r.max_total_coverage == 1      # closed count, members included
     assert r.cardinality == 1
+    # the report keeps verdicts, capped lists and totals, no m x n array
+    assert not any(isinstance(getattr(r, f.name), np.ndarray) for f in fields(r))
+
+
+def test_one_two_lists_its_first_counterexamples_row_major():
+    # rows 21-40 hold every cell with r + c even: rows 1-19 and half of row
+    # 20 are undominated, and the non-members below row 20 see three or four
+    # members but for (21, 40) and (40, 1)
+    d = GridDims(40, 40)
+    black = [(r, c) for r in range(21, 41) for c in range(1, 41) if (r + c) % 2 == 0]
+    check = verify_pattern(PatternSet(d, black, ())).check("one_two")
+    assert not check.passed
+    assert check.detail == "780 undominated, 398 non-members covered >2x"
+    assert check.counterexamples == tuple(Vertex(1, c) for c in range(1, 33))
+
+
+def test_failing_pattern_needs_no_more_memory_than_a_passing_one():
+    d = GridDims(2000, 2000)
+    def peak(p):
+        tracemalloc.start()
+        try:
+            verify_pattern(p)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    built, empty = construct(d), PatternSet(d, (), ())
+    assert peak(empty) <= 1.5 * peak(built)
 
 
 def test_coverage_rejects_out_of_bounds():
@@ -220,7 +254,7 @@ def test_coverage_deterministic():
     d = GridDims(19, 23)
     p = construct(d)
     members = set(p.black) | set(p.white)
-    a = coverage_map(d, members)
-    b = coverage_map(d, sorted(members, reverse=True))
-    assert a.undominated == b.undominated
-    assert np.array_equal(a.open_counts, b.open_counts)
+    reverse = sorted(members, reverse=True)
+    assert coverage_map(d, members) == coverage_map(d, reverse)
+    assert np.array_equal(verify._closed_counts(verify._indicator(d, members)),
+                          verify._closed_counts(verify._indicator(d, reverse)))
