@@ -52,6 +52,12 @@ def _check_dims(dims: GridDims) -> None:
         )
 
 
+def _check_max_side(dims: GridDims) -> None:
+    if max(dims.m, dims.n) > MAX_SIDE:
+        raise ValueError(f"grid sides above {MAX_SIDE} are not supported; "
+                         f"got {dims.m}x{dims.n}")
+
+
 # ---------------------------------------------------------------------------
 # The paper's case tables, verbatim, as data
 # ---------------------------------------------------------------------------
@@ -233,9 +239,7 @@ class PatternSet:
     white_rc: np.ndarray
 
     def __post_init__(self):
-        if max(self.dims.m, self.dims.n) > MAX_SIDE:
-            raise ValueError(f"grid sides above {MAX_SIDE} are not supported; "
-                             f"got {self.dims.m}x{self.dims.n}")
+        _check_max_side(self.dims)
         black, bkeys = _canonical(self.black_rc, self.dims, "black")
         white, wkeys = _canonical(self.white_rc, self.dims, "white")
         if len(black) and len(white):

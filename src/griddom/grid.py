@@ -3,8 +3,14 @@
 Vertices are 1-based (row, col); (1, 1) is the upper-left corner and (m, n)
 the lower-right one. Sets of vertices travel as (k, 2) integer arrays (see
 coordinate_array). Everything here is a pure function.
+
+Grid sides are exact integers: GridDims stores numpy integers as int and
+refuses bool, floats and every other non-integer. Its only other rule is
+m, n >= 1; the closed form, the construction and the count cross-check need
+m, n >= 16, and construction._check_dims states that rule.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,12 +24,24 @@ class Vertex(NamedTuple):
 
 @dataclass(frozen=True)
 class GridDims:
-    """Dimensions of an m x n grid graph (m rows, n columns)."""
+    """Dimensions of an m x n grid graph (m rows, n columns).
+
+    Each side is read with operator.index, so a numpy integer is stored as
+    int; bool, floats and other non-integers raise a ValueError that names
+    the side, and a side below 1 raises one too. Sides below 16 are valid
+    here, for the oracles, but the closed form, construct and
+    count_cross_check refuse them (construction._check_dims).
+    """
 
     m: int
     n: int
 
     def __post_init__(self):
+        for side in ("m", "n"):
+            value = getattr(self, side)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise ValueError(f"{side} must be an integer, got {value!r}")
+            object.__setattr__(self, side, operator.index(value))
         if self.m < 1 or self.n < 1:
             raise ValueError(f"grid dimensions must be positive, got {self.m}x{self.n}")
 

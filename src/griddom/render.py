@@ -6,7 +6,7 @@ from itertools import chain
 
 import numpy as np
 
-from .construction import MAX_SIDE, MIN_SIDE, PatternSet, gamma_formula
+from .construction import MIN_SIDE, PatternSet, _check_max_side, gamma_formula
 from .grid import GridDims
 
 # column step of a schema-2 run: the period of the disk lattice
@@ -142,13 +142,6 @@ class DocumentError(ValueError):
     """Structurally invalid pattern document."""
 
 
-def _exact_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if type(value) is not int:
-        raise DocumentError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _int_lists(doc: dict, key: str, what: str, width: int) -> np.ndarray:
     """A list of `what` lists of `width` exact integers each, as an int64
     (k, width) array."""
@@ -199,15 +192,13 @@ def document_dims(doc: dict) -> GridDims:
     """The grid a document claims, read as strictly as document_to_pattern
     reads it and before any member is read."""
     try:
-        m, n = _exact_int(doc, "m"), _exact_int(doc, "n")
+        dims = GridDims(doc["m"], doc["n"])
+        _check_max_side(dims)
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed pattern document: {exc}") from exc
-    if max(m, n) > MAX_SIDE:
-        raise DocumentError(f"grid sides above {MAX_SIDE} are not supported; got {m}x{n}")
-    try:
-        return GridDims(m, n)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
+    return dims
 
 
 def document_to_pattern(doc: dict) -> PatternSet:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import MIN_SIDE, PatternSet, gamma_formula, row_major_keys
+from .construction import (MIN_SIDE, PatternSet, _check_dims, gamma_formula,
+                           row_major_keys)
 from .deviations import expected_table_mismatches
 from .grid import GridDims, Vertex, coordinate_array
 
@@ -301,41 +302,32 @@ class CountCrossCheck:
 
 def count_cross_check(p: PatternSet) -> CountCrossCheck:
     """Compare per-block disk counts and the white total with the bundled
-    count tables.
+    count tables (m, n >= 16; _check_dims refuses smaller grids).
 
-    Mismatches are annotated with the ledger entry that predicts them, and
-    anything unexplained is exposed via .unexplained.
+    Block i holds rows 5i+1..5i+5, except the last, (m-1) // 5, which ends
+    at row m: so the first block is rows 1-5 and the last holds 5 rows when
+    5 divides m and m mod 5 rows otherwise. Mismatches are annotated with
+    the ledger entry that predicts them, and anything unexplained is exposed
+    via .unexplained.
     """
+    _check_dims(p.dims)
     expected_mis = expected_table_mismatches()
     m, n = p.dims.m, p.dims.n
     S, T = n // 5, m // 5
     rn, rm = n % 5, m % 5
-    # below[r] = disks in rows < r
-    per_row = np.bincount(p.black_rc[:, 0], minlength=m + 1)
-    below = np.concatenate(([0], np.cumsum(per_row))).tolist()
-    def block_sum(lo, hi):
-        return below[hi + 1] - below[lo]
-    rows: list[CountRow] = []
-    def add(label, table, expected, actual):
-        matches = expected == actual
-        ledger_id = None
-        if not matches:
-            hit = expected_mis.get((table, rn, rm))
-            if hit and hit[0] == expected - actual:
-                ledger_id = hit[1]
-        rows.append(CountRow(label, expected, actual, matches, ledger_id))
-
-    add("first", "first", _disks(TABLE2_FIRST[rn], S), block_sum(1, 5))
-    if rm == 0:
-        mids = [(i, block_sum(5 * i + 1, 5 * i + 5)) for i in range(1, T - 1)]
-        last = block_sum(m - 4, m)
-    else:
-        mids = [(i, block_sum(5 * i + 1, 5 * i + 5)) for i in range(1, T)]
-        last = block_sum(5 * T + 1, m)
+    per_row = np.bincount(p.black_rc[:, 0], minlength=m + 1)[1:]
+    blocks = np.add.reduceat(per_row, np.arange(0, m, 5)).tolist()
     middle = _disks(TABLE2_MIDDLE[rn], S)
-    for i, actual in mids:
-        add(f"middle[{i}]", "middle", middle, actual)
-    add("last", "last", _disks(TABLE2_LAST[rm][rn], S), last)
-    add("white", "white", 2 * T + 2 * S + TABLE3_WHITE_DELTA[rn][rm],
-        len(p.white_rc))
+    counts = ([("first", "first", _disks(TABLE2_FIRST[rn], S), blocks[0])]
+              + [(f"middle[{i}]", "middle", middle, actual)
+                 for i, actual in enumerate(blocks[1:-1], 1)]
+              + [("last", "last", _disks(TABLE2_LAST[rm][rn], S), blocks[-1]),
+                 ("white", "white", 2 * T + 2 * S + TABLE3_WHITE_DELTA[rn][rm],
+                  len(p.white_rc))])
+    rows = []
+    for label, table, expected, actual in counts:
+        hit = expected_mis.get((table, rn, rm))
+        explained = expected != actual and hit is not None and hit[0] == expected - actual
+        rows.append(CountRow(label, expected, actual, expected == actual,
+                             hit[1] if explained else None))
     return CountCrossCheck(dims=p.dims, rows=tuple(rows))

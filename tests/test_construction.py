@@ -106,6 +106,18 @@ def test_construct_rejects_small_grids():
         construct(GridDims(20, 15))
 
 
+def test_numpy_sides_build_the_int_grid():
+    # int16 sides used to wrap round inside the builder (1602 members at
+    # 200x200, where 8156 is optimal), and int32 ones inside the closed form
+    want = construct(GridDims(200, 200))
+    got = construct(GridDims(np.int16(200), np.int16(200)))
+    assert (type(got.dims.m), type(got.dims.n)) == (int, int)
+    assert np.array_equal(got.black_rc, want.black_rc)
+    assert np.array_equal(got.white_rc, want.white_rc)
+    assert verify_pattern(got).ok and got.cardinality == 8156
+    assert gamma_formula(GridDims(np.int32(50000), np.int32(50000))) == 500039996
+
+
 def test_construct_black_white_disjoint_and_tagged():
     for dims in (GridDims(16, 16), GridDims(24, 20), GridDims(33, 47)):
         p = construct(dims)

@@ -4,6 +4,7 @@ the program computes them)."""
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,17 @@ def test_dims_validation():
         GridDims(0, 5)
     with pytest.raises(ValueError):
         GridDims(5, -1)
+
+
+@pytest.mark.parametrize("m, n, side", [
+    (True, 3, "m"), (16.5, 16, "m"), (20.0, 20, "m"), ("16", 16, "m"),
+    (16, np.float64(16), "n"), (16, np.True_, "n"),
+], ids=["bool", "float", "integral-float", "str", "numpy-float", "numpy-bool"])
+def test_dims_refuse_sides_that_are_not_integers(m, n, side):
+    # bool used to pass as 1 (exact_gamma_dp solved GridDims(True, 3) as
+    # 1x3) and floats as themselves (gamma_formula of 20.0 x 20 was 92.0)
+    with pytest.raises(ValueError, match=f"^{side} must be an integer, got "):
+        GridDims(m, n)
 
 
 def test_neighbors_corner_edge_interior():

@@ -13,8 +13,8 @@ from griddom import (GridDims, OracleResult, construct, count_cross_check,
                      pattern_to_document, render_ascii, render_svg)
 from griddom import cli, oracle
 from griddom.cli import main
-from griddom.construction import PatternSet
-from griddom.render import DocumentError, _centres, dumps_pattern
+from griddom.construction import MAX_SIDE, PatternSet
+from griddom.render import DocumentError, _centres, document_dims, dumps_pattern
 
 
 def test_ascii_render_16x16():
@@ -468,6 +468,19 @@ def test_document_rejects_float_coordinate():
 def test_document_rejects_float_dims():
     with pytest.raises(DocumentError, match="m must be an integer"):
         document_to_pattern(_doc16(m=16.7))          # used to read as 16
+
+
+def test_side_limits_have_one_message_each():
+    # a side over MAX_SIDE gets the same refusal from a document as from a
+    # PatternSet; a side below 1 is reported first, as GridDims reports it
+    big = MAX_SIDE + 1
+    with pytest.raises(DocumentError, match=f"^grid sides above {MAX_SIDE} "):
+        document_dims({"m": big, "n": 16})
+    with pytest.raises(ValueError, match=f"^grid sides above {MAX_SIDE} "):
+        PatternSet(GridDims(16, big), [], [])
+    with pytest.raises(DocumentError, match="^grid dimensions must be positive"):
+        document_dims({"m": 0, "n": big})
+    assert document_dims({"m": MAX_SIDE, "n": 1}) == GridDims(MAX_SIDE, 1)
 
 
 def test_document_rejects_bool_dims_and_coordinates():

@@ -183,6 +183,30 @@ def test_count_cross_check_direct_core_20x21():
     assert cc.ok
 
 
+@pytest.mark.parametrize("m, n", [(3, 3), (15, 40)])
+def test_count_cross_check_refuses_grids_below_16(m, n):
+    # 3x3 used to raise IndexError; the tables hold only for m, n >= 16
+    with pytest.raises(ValueError, match="need m, n >= 16"):
+        count_cross_check(PatternSet(GridDims(m, n), [], []))
+
+
+def test_count_rows_follow_the_block_layout():
+    """Block i is rows 5i+1..5i+5 and the last, (m-1) // 5, ends at row m;
+    the rows run first, middle[1..L-1], last, white."""
+    for m, n in product(range(16, 21), repeat=2):
+        p = construct(GridDims(m, n))
+        rows = count_cross_check(p).rows
+        last = (m - 1) // 5
+        assert [r.label for r in rows] == (
+            ["first"] + [f"middle[{i}]" for i in range(1, last)] + ["last", "white"])
+        disk_rows = p.black_rc[:, 0]
+        assert [r.actual for r in rows[:-1]] == [
+            int(np.count_nonzero((disk_rows > 5 * i) & (disk_rows <= 5 * i + 5)))
+            for i in range(last + 1)]
+        assert sum(r.actual for r in rows[:-1]) == len(disk_rows)
+        assert rows[-1].actual == len(p.white_rc)
+
+
 def test_count_rows_are_pinned():
     """Every row of the count cross-check over [16, 25]^2, all 25 residue
     classes, pinned as one SHA-256: a misread table cell changes it."""
