@@ -13,11 +13,7 @@ from .construction import (
     pattern_class,
 )
 from .deviations import DEVIATIONS, load_ledger
-from .grid import (
-    GridDims,
-    Vertex,
-    residue_class,
-)
+from .grid import GridDims, Vertex
 from .oracle import (
     CapacityError,
     OracleResult,
@@ -68,6 +64,5 @@ __all__ = [
     "pattern_to_document",
     "render_ascii",
     "render_svg",
-    "residue_class",
     "verify_pattern",
 ]

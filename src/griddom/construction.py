@@ -24,7 +24,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .deviations import class_edit
-from .grid import GridDims, Vertex, coordinate_array, residue_class
+from .grid import GridDims, Vertex, coordinate_array
 
 MIN_SIDE = 16
 
@@ -63,7 +63,7 @@ def _check_max_side(dims: GridDims) -> None:
 # ---------------------------------------------------------------------------
 
 # A table entry (k, i, dj, extras) reads A_k^(i, B+dj) + extras, where
-# A_k^(i,j) = [5i+k, ..., 5j+k] (grid.residue_class) and B is T = m // 5 for
+# A_k^(i,j) = range(5i+k, 5j+k+1, 5), empty when i > j, and B is T = m // 5 for
 # the column tables and S = n // 5 for the row tables. An extra e <= 0 stands
 # for side + e, so (3, 1, -2, (2, -1)) on a column is A_3^(1,T-2) + {2, m-1}.
 
@@ -115,7 +115,8 @@ def _at(e: int, side: int) -> int:
 
 def _entry(spec, blocks: int, side: int) -> list[int]:
     k, i, dj, extras = spec
-    return residue_class(k, i, blocks + dj) + [_at(e, side) for e in extras]
+    return [*range(5 * i + k, 5 * (blocks + dj) + k + 1, 5),
+            *(_at(e, side) for e in extras)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,40 +130,35 @@ def _lattice(dims: GridDims, edit: Mapping) -> np.ndarray:
     for p = 1, in [1, n] for the middle rows and in [lo, n-2] for p = m,
     where a1 is the edit's offset (else the paper's first-row offset) and
     lo is 3 unless the edit sets last_row_from. So every row is one
-    range of step 5, and the middle rows repeat with period 5. Each disk the
-    edit removes splits its row's range in two. The array is filled straight
-    from those ranges.
+    range of step 5, and the middle rows repeat with period 5: their five
+    ranges are built once and shared. A disk the edit removes is filtered
+    out of its row's range, which leaves that one row a list. The array is
+    filled straight from the rows.
     """
     m, n = dims.m, dims.n
     # a1 is the paper's first-row offset: n mod 5, or 2 when 5 divides n
     a1 = edit.get("offset", n % 5 or 2)
 
     def row(p, lo, hi):
-        """(first column, end of the column range) of row p"""
-        first = lo + (a1 + 3 * (p - 1) - lo) % 5
-        return first, first + 5 * ((hi - first) // 5 + 1)
+        return range(lo + (a1 + 3 * (p - 1) - lo) % 5, hi + 1, 5)
 
     middle = [row(p, 1, n) for p in range(2, 7)]
-    per_row = ([row(1, 3, n - 2)] + (middle * ((m - 2) // 5 + 1))[:m - 2]
-               + [row(m, edit.get("last_row_from", 3), n - 2)])
-    segments = [(p, *ends) for p, ends in zip(range(1, m + 1), per_row)]
-    removed = [(_at(r, m), _at(c, n)) for r, c in edit.get("remove", ())]
-    # bottom-up, so row r's first segment is still at index r - 1
-    for r, c in sorted(removed, reverse=True):
-        _, first, end = segments[r - 1]
-        if not (first <= c < end and (c - first) % 5 == 0):
+    rows = ([row(1, 3, n - 2)] + (middle * ((m - 2) // 5 + 1))[:m - 2]
+            + [row(m, edit.get("last_row_from", 3), n - 2)])
+    for r, c in edit.get("remove", ()):
+        r, c = _at(r, m), _at(c, n)
+        if c not in rows[r - 1]:
             raise ValueError(f"edit removes ({r}, {c}), which holds no disk")
-        segments[r - 1:r] = [(r, first, c), (r, c + 5, end)]
-    rows, firsts, ends = zip(*segments)
-    pairs = chain.from_iterable(map(zip, map(repeat, rows),
-                                    map(range, firsts, ends, repeat(5))))
+        rows[r - 1] = [q for q in rows[r - 1] if q != c]
+    pairs = chain.from_iterable(map(zip, map(repeat, range(1, m + 1)), rows))
     return np.fromiter(chain.from_iterable(pairs), dtype=np.int32,
-                       count=2 * (sum(ends) - sum(firsts)) // 5).reshape(-1, 2)
+                       count=2 * sum(map(len, rows))).reshape(-1, 2)
 
 
 def build(dims: GridDims, edit: Mapping) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Black disks and white squares of the case tables for dims, with one
-    class's ledger edit applied (m, n >= 16).
+    class's ledger edit applied (16 <= m, n <= MAX_SIDE; other sides raise
+    ValueError before anything is built).
 
     Returns the disks as a row-major int32 (k, 2) array and the whites as
     unsorted (row, col) pairs. build(dims, {}) is the paper's baseline, which
@@ -173,6 +169,7 @@ def build(dims: GridDims, edit: Mapping) -> tuple[np.ndarray, list[tuple[int, in
     row denotes no vertex and is dropped (ledger DEV-CLIP-04).
     """
     _check_dims(dims)
+    _check_max_side(dims)
     m, n = dims.m, dims.n
     black = _lattice(dims, edit)
     specs = (FIRST_ROW[n % 5],) + SIDES[n % 5, m % 5]

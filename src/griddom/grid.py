@@ -1,4 +1,4 @@
-"""Grid geometry: dimensions, vertices, coordinate arrays and residue classes.
+"""Grid geometry: dimensions, vertices and coordinate arrays.
 
 Vertices are 1-based (row, col); (1, 1) is the upper-left corner and (m, n)
 the lower-right one. Sets of vertices travel as (k, 2) integer arrays (see
@@ -67,16 +67,3 @@ def coordinate_array(members, dims: GridDims) -> np.ndarray:
         raise ValueError(f"member {tuple(rc[bad].tolist())} out of bounds "
                          f"for {dims.m}x{dims.n} grid")
     return rc
-
-
-def residue_class(k: int, i: int, j: int) -> list[int]:
-    """The ascending list [5i+k, 5(i+1)+k, ..., 5j+k]; empty when i > j.
-
-    An empty result is deliberate: border case tables instantiate ranges that
-    collapse near the smallest supported grids, and those must union cleanly.
-    """
-    if not 0 <= k <= 4:
-        raise ValueError(f"residue k must be in 0..4, got {k}")
-    if i > j:
-        return []
-    return [5 * t + k for t in range(i, j + 1)]

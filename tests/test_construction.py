@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import griddom
 from griddom import (GridDims, Vertex, construct, gamma_formula,
                      pattern_class, verify_pattern)
-from griddom.construction import FRAME_KEYS, PatternSet, build
+from griddom.construction import (FIRST_ROW, FRAME_KEYS, MAX_SIDE, SIDES,
+                                  PatternSet, _entry, build)
 from griddom.deviations import BY_ID, class_edit
 
 CLASSES = [(rn, rm) for rn in range(5) for rm in range(5)]
@@ -138,6 +146,50 @@ def test_construct_composes_the_operations():
     assert len(black) == len(base) - 2
     with pytest.raises(ValueError, match=r"\(2, 1\), which holds no disk"):
         build(d, {"remove": ((2, 1),)})
+
+
+def test_table_entries_read_as_step_5_ranges():
+    # every spec of the paper's tables and of the ledger's frame edits is
+    # A_k^(i, B+dj) = [5i+k, ..., 5(B+dj)+k], empty when i > B+dj, plus its
+    # extras, an extra e <= 0 standing for side + e
+    specs = [*FIRST_ROW.values(), *chain.from_iterable(SIDES.values()),
+             *(edit[key] for edit in (class_edit(cls)[1] for cls in CLASSES)
+               for key in FRAME_KEYS if key in edit)]
+    assert all(0 <= k <= 4 for k, _, _, _ in specs)
+    for k, i, dj, extras in specs:
+        for blocks in range(3, 41):
+            for side in range(5 * blocks, 5 * blocks + 5):
+                want = [5 * t + k for t in range(i, blocks + dj + 1)]
+                want += [side + e if e <= 0 else e for e in extras]
+                assert _entry((k, i, dj, extras), blocks, side) == want
+
+
+def test_construct_refuses_sides_over_max_side_before_building():
+    # with a side of 2**31 - 2 the lattice alone would need a ~17 GB row list
+    # (tall) or a ~51 GiB coordinate array (wide). A child process runs both
+    # under a 1.5 GB address-space cap, so a build that starts anyway shows
+    # up as a MemoryError there rather than in this process.
+    big = MAX_SIDE + 1
+    code = textwrap.dedent(f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
+        from griddom import GridDims, construct
+        for dims in (GridDims({big}, 16), GridDims(16, {big})):
+            try:
+                construct(dims)
+            except (ValueError, MemoryError) as exc:
+                print(type(exc).__name__, exc)
+    """)
+    src = str(Path(griddom.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.stdout.splitlines() == [
+        f"ValueError grid sides above {MAX_SIDE} are not supported; got {big}x16",
+        f"ValueError grid sides above {MAX_SIDE} are not supported; got 16x{big}",
+    ], out.stderr
 
 
 def test_every_class_builds_direct():

@@ -1,4 +1,4 @@
-"""Grid geometry: dimensions, residue classes, and the neighbourhoods, frame
+"""Grid geometry: dimensions, coordinates, and the neighbourhoods, frame
 and sub-grid the verifier counts with (its coverage counts are the one place
 the program computes them)."""
 
@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from griddom import (GridDims, Vertex, coverage_map, residue_class, verify,
-                     verify_pattern)
+from griddom import GridDims, Vertex, coverage_map, verify, verify_pattern
 from griddom.construction import PatternSet
 
 D16 = GridDims(16, 16)
@@ -120,15 +119,6 @@ def test_subgrid_small_grids():
     assert _subgrid(GridDims(3, 5)) == {(2, 3)}
 
 
-def test_residue_class_examples():
-    assert residue_class(4, 1, 3) == [9, 14, 19]
-    assert residue_class(0, 1, 1) == [5]
-    assert residue_class(2, 0, 2) == [2, 7, 12]
-    assert residue_class(3, 1, 0) == []
-    with pytest.raises(ValueError):
-        residue_class(5, 0, 1)
-
-
 dims_strategy = st.builds(GridDims, st.integers(2, 24), st.integers(2, 24))
 
 
@@ -148,15 +138,3 @@ def test_neighbor_symmetry_and_degree(dims, data):
 @settings(max_examples=40, deadline=None)
 def test_subgrid_disjoint_from_boundary(dims):
     assert not _subgrid(dims) & _frame(dims)
-
-
-@given(st.integers(0, 4), st.integers(-3, 8), st.integers(-3, 8))
-@settings(max_examples=80, deadline=None)
-def test_residue_class_properties(k, i, j):
-    out = residue_class(k, i, j)
-    if i > j:
-        assert out == []
-    else:
-        assert len(out) == j - i + 1
-        assert all(x % 5 == k for x in out)
-        assert out == sorted(out)
