@@ -8,6 +8,7 @@ import argparse
 import gc
 import csv
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -319,9 +320,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except ValueError as exc:         # usage, document and capacity errors alike
+        code = args.func(args)
+        sys.stdout.flush()            # a failed write is raised here, not at exit
+        return code
+    except (ValueError, OSError) as exc:    # usage, document, capacity, I/O
         sys.stderr.write(f"error: {exc}\n")
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # Python flushes stdout again at exit and would exit 120 on the
+            # same error: send what is left to os.devnull instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -150,20 +150,26 @@ def _lattice(dims: GridDims, edit: Mapping) -> np.ndarray:
         if c not in rows[r - 1]:
             raise ValueError(f"edit removes ({r}, {c}), which holds no disk")
         rows[r - 1] = [q for q in rows[r - 1] if q != c]
-    pairs = chain.from_iterable(map(zip, map(repeat, range(1, m + 1)), rows))
+    return _coordinates(chain.from_iterable(map(zip, map(repeat, range(1, m + 1)), rows)),
+                        sum(map(len, rows)))
+
+
+def _coordinates(pairs, count: int) -> np.ndarray:
+    """An iterator of count (row, col) pairs as an int32 (count, 2) array."""
     return np.fromiter(chain.from_iterable(pairs), dtype=np.int32,
-                       count=2 * sum(map(len, rows))).reshape(-1, 2)
+                       count=2 * count).reshape(-1, 2)
 
 
-def build(dims: GridDims, edit: Mapping) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def build(dims: GridDims, edit: Mapping) -> tuple[np.ndarray, np.ndarray]:
     """Black disks and white squares of the case tables for dims, with one
     class's ledger edit applied (16 <= m, n <= MAX_SIDE; other sides raise
     ValueError before anything is built).
 
     Returns the disks as a row-major int32 (k, 2) array and the whites as
-    unsorted (row, col) pairs. build(dims, {}) is the paper's baseline, which
-    the ledger's counterexamples replay. The edit keys are described on
-    deviations.DeviationEntry.
+    an int32 (k, 2) array in table order (first row, first column, last
+    column, last row), which PatternSet sorts. build(dims, {}) is the
+    paper's baseline, which the ledger's counterexamples replay. The edit
+    keys are described on deviations.DeviationEntry.
 
     Table entries may reach past the grid: column 5S+4 of class (0,4)'s last
     row denotes no vertex and is dropped (ledger DEV-CLIP-04).
@@ -177,8 +183,9 @@ def build(dims: GridDims, edit: Mapping) -> tuple[np.ndarray, list[tuple[int, in
     S, T = n // 5, m // 5
     fr, fc, lc = _entry(fr, S, n), _entry(fc, T, m), _entry(lc, T, m)
     lr = [q for q in _entry(lr, S, n) if q <= n]
-    white = list(zip([1] * len(fr) + fc + lc + [m] * len(lr),
-                     fr + [1] * len(fc) + [n] * len(lc) + lr))
+    white = _coordinates(chain(zip(repeat(1), fr), zip(fc, repeat(1)),
+                               zip(lc, repeat(n)), zip(repeat(m), lr)),
+                         len(fr) + len(fc) + len(lc) + len(lr))
     return black, white
 
 
@@ -221,14 +228,10 @@ class PatternSet:
     black_rc/white_rc hold the members as read-only, row-major int32 (k, 2)
     arrays of 1-based (row, col) pairs. Any (k, 2) integer array-like is
     accepted and sorted; out-of-bounds members, duplicates and black/white
-    overlap raise ValueError when the set is created. black, white and tags
-    are views built on demand. Instances compare by identity. deviations are
-    the grid class's ledger ids (deviations.class_edit), never stored; grids
-    below MIN_SIDE have none.
-
-    tags maps the provenance groups F/M/L (disks in first, middle, last
-    rows) and FR/FC/LC/LR (whites on the first row, first column, last
-    column, last row) to row-major member tuples.
+    overlap raise ValueError when the set is created. black and white are
+    Vertex tuples built on demand. Instances compare by identity.
+    deviations are the grid class's ledger ids (deviations.class_edit),
+    never stored; grids below MIN_SIDE have none.
     """
 
     dims: GridDims
@@ -265,22 +268,6 @@ class PatternSet:
             return ()
         return class_edit(pattern_class(self.dims))[0]
 
-    @property
-    def tags(self) -> dict[str, tuple[Vertex, ...]]:
-        """Provenance groups, read off each member's row and column."""
-        m, n = self.dims.m, self.dims.n
-        b, w = self.black_rc, self.white_rc
-        brow, wrow, wcol = b[:, 0], w[:, 0], w[:, 1]
-        return {
-            "F": _vertices(b[brow == 1]),
-            "M": _vertices(b[(brow > 1) & (brow < m)]),
-            "L": _vertices(b[brow == m]),
-            "FR": _vertices(w[wrow == 1]),
-            "FC": _vertices(w[wcol == 1]),
-            "LC": _vertices(w[wcol == n]),
-            "LR": _vertices(w[wrow == m]),
-        }
-
 
 def construct(dims: GridDims) -> PatternSet:
     """Build a minimum dominating set for dims.
@@ -290,6 +277,4 @@ def construct(dims: GridDims) -> PatternSet:
     [1,2]-set, covers the sub-grid exactly once and has size
     gamma_formula(dims).
     """
-    black, white = build(dims, class_edit(pattern_class(dims))[1])
-    # the frame is small: sorting it here spares PatternSet its numpy sort
-    return PatternSet(dims, black, sorted(white))
+    return PatternSet(dims, *build(dims, class_edit(pattern_class(dims))[1]))

@@ -4,14 +4,16 @@ Vertices are 1-based (row, col); (1, 1) is the upper-left corner and (m, n)
 the lower-right one. Sets of vertices travel as (k, 2) integer arrays (see
 coordinate_array). Everything here is a pure function.
 
-Grid sides are exact integers: GridDims stores numpy integers as int and
-refuses bool, floats and every other non-integer. Its only other rule is
+Grid sides and member coordinates are exact integers: GridDims stores
+numpy integers as int and refuses bool, floats and every other non-integer,
+and coordinate_array refuses a bool coordinate. GridDims' only other rule is
 m, n >= 1; the closed form, the construction and the count cross-check need
 m, n >= 16, and construction._check_dims states that rule.
 """
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -51,14 +53,23 @@ def coordinate_array(members, dims: GridDims) -> np.ndarray:
 
     Takes an integer array, returned as it is, or any iterable of pairs (a
     set of Vertex included). Raises ValueError for another shape, a
-    non-integer dtype, or a pair outside dims, naming the first such member.
+    non-integer dtype, a bool coordinate (bool or np.bool_, which numpy
+    would read as 0 or 1 beside ints), or a pair outside dims, naming the
+    first such member.
     """
-    rc = np.asarray(members if isinstance(members, np.ndarray) else list(members))
+    # an iterable is listed once, and the list also serves the bool scan
+    rc = np.asarray(members if isinstance(members, np.ndarray)
+                    else (members := list(members)))
     if rc.size == 0:
         return np.empty((0, 2), dtype=np.int32)
     if rc.ndim != 2 or rc.shape[1] != 2 or rc.dtype.kind not in "iu":
         raise ValueError("members must be (row, col) integer pairs; got shape "
                          f"{rc.shape} and dtype {rc.dtype}")
+    bools = {bool, np.bool_}
+    if isinstance(members, list) and bools & set(map(type, chain.from_iterable(members))):
+        bad = next(p for p in members if bools & set(map(type, p)))
+        raise ValueError(f"member {tuple(bad)} has a bool coordinate; "
+                         "members must be (row, col) integer pairs")
     if rc.dtype.kind == "u":
         rc = rc.astype(np.int64)      # values past 2**63 turn negative: out of bounds
     r, c = rc[:, 0], rc[:, 1]

@@ -43,8 +43,10 @@ is read back through the sweeps' logs in reverse.
 
 A solve is admitted or refused before any search, on its work: the
 reachable-state total committed for its width in REACHABLE_STATES, times
-its length, against DP_WORK_CAP. A cold table build checks its search's
-total against that entry, so the tables depend on (variant, w) alone.
+its length, against DP_WORK_CAP. That table lists only the widths whose own
+square DP_WORK_CAP admits, so a wider width is refused at every length. A
+cold table build checks its search's total against its entry, so the
+tables depend on (variant, w) alone.
 """
 
 import threading
@@ -66,16 +68,17 @@ DP_CELL_CAP = 10**6
 # is compared, before any search, with the work REACHABLE_STATES gives
 DP_WORK_CAP = 2**30
 # per variant, the reachable frontier states summed over the row offsets at
-# each width 1, 2, ... within the int32 code range, as _reachable_states
-# finds them; a cold table build checks its search against its entry. None
-# where the width's own square is over DP_WORK_CAP (the search passed
-# DP_WORK_CAP // w states), so every length of that width is refused
+# each width 1, 2, ..., as _reachable_states finds them; a cold table build
+# checks its search against its entry. It lists exactly the widths whose own
+# square is within DP_WORK_CAP (at the next width, domination 17 and [1,2]
+# 15, the search passed DP_WORK_CAP // w states), so a width past it is
+# refused at every length. Every listed width keeps its B**w frontier codes
+# within int32
 REACHABLE_STATES = {
     "domination": (3, 15, 55, 178, 539, 1565, 4415, 12196, 33155, 89003,
-                   236503, 623190, 1630587, 4240953, 10973375, 28266056,
-                   None, None, None),
+                   236503, 623190, 1630587, 4240953, 10973375, 28266056),
     "one-two": (3, 19, 84, 326, 1184, 4123, 13946, 46185, 150510, 484318,
-                1542606, 4872125, 15279590, 47631391, None),
+                1542606, 4872125, 15279590, 47631391),
 }
 # domination widths <= 13 and [1,2] widths <= 10 take 20.8 MB of tables and
 # 6.7 MB of swept prefixes (the oracle-dp widths, domination 11-13 and [1,2]
@@ -94,14 +97,14 @@ class OracleResult:
     """One exact solve. `work` counts subsets tried (brute force) or
     (reachable state, cell) pairs relaxed (profile DP) over the whole sweep,
     the cached prefix's columns included: the DP's is the figure compared
-    with DP_WORK_CAP, after DP_CELL_CAP, the int32 code range and any width
-    cap, and before any search, its states read from REACHABLE_STATES. For
-    the DP, `row_states[r]` is the number of reachable frontier codes
-    entering row offset r, `states` its maximum, and `backpointer_bytes` the
-    packed witness log's size over all length columns: ceil(length / D)
-    bytes for each state with a choice (see exact_gamma_dp), of which the
-    solve allocates ceil((length - w) / D) and the cached prefix holds the
-    rest. They are (), 0 and 0 for brute force. Both methods always return a
+    with DP_WORK_CAP, after DP_CELL_CAP and any width cap, and before any
+    search, its states read from REACHABLE_STATES. For the DP,
+    `row_states[r]` is the number of reachable frontier codes entering row
+    offset r, `states` its maximum, and `backpointer_bytes` the packed
+    witness log's size over all length columns: ceil(length / D) bytes for
+    each state with a choice (see exact_gamma_dp), of which the solve
+    allocates ceil((length - w) / D) and the cached prefix holds the rest.
+    They are (), 0 and 0 for brute force. Both methods always return a
     witness of `value` members."""
 
     dims: GridDims
@@ -238,8 +241,8 @@ def _reachable_states(rule, width: int, init: int):
     array stays sorted and no array has an entry per dense code. Its arrays
     hold about 16 B per state found.
     """
-    # exact_gamma_dp checks B**width <= 2**31 - 1, which keeps every code
-    # here int32, and refuses a width whose REACHABLE_STATES entry is None
+    # exact_gamma_dp admits only the widths REACHABLE_STATES lists, whose
+    # B**width codes are all within int32
     found = [np.array([init], np.int32)] + [np.empty(0, np.int32)] * (width - 1)
     fresh, r = found[0], 0
     while fresh.size:
@@ -466,37 +469,33 @@ def exact_gamma_dp(
     The sweep runs along the longer dimension, so the frontier width is
     min(m, n). Before any table or log is built, CapacityError refuses, in
     order: more than DP_CELL_CAP cells (thin strips cost tens of
-    microseconds per cell at any state count); more than 2**31 - 1 frontier
-    codes B**width, the int32 range (domination width <= 19, [1,2] <= 15);
-    a width over `width_cap`, if one is given; and work, reachable states x
-    length, over DP_WORK_CAP, the states read from REACHABLE_STATES (a
-    width whose entry is None is refused at every length). The cached
-    (variant, width) entry holds the tables and the sweep of the first width
-    columns (see the module docstring), so a solve sweeps only the length -
-    width columns past them, and reads its witness back through its own log
-    and then the prefix's. `backpointer_bytes` is ceil(length / D) bytes per
+    microseconds per cell at any state count); a width over `width_cap`, if
+    one is given; and, in one check, a width past REACHABLE_STATES
+    (domination 17 and up, [1,2] 15 and up: even their squares are over
+    DP_WORK_CAP) or work, reachable states x length, over DP_WORK_CAP, the
+    states read from REACHABLE_STATES. The cached (variant, width) entry
+    holds the tables and the sweep of the first width columns (see the
+    module docstring), so a solve sweeps only the length - width columns
+    past them, and reads its witness back through its own log and then the
+    prefix's. `backpointer_bytes` is ceil(length / D) bytes per
     state with more than one predecessor, D = 3 for domination (5 at width
     1) and 5 for [1,2], the most base-K digits a byte holds, K the largest
     predecessor count; DP_WORK_CAP keeps it under 152 MB, so the witness is
     always returned.
     """
     _check_variant(variant)
-    base = _RULES[variant][0].size
     width, length = min(dims.m, dims.n), max(dims.m, dims.n)
     if width * length > DP_CELL_CAP:
         raise CapacityError(
             f"{dims.m}x{dims.n} has {width * length} > {DP_CELL_CAP} cells "
             "(DP_CELL_CAP)")
-    if base**width > 2**31 - 1:
-        raise CapacityError(
-            f"frontier width {width} has {base}**{width} = {base**width} "
-            "frontier codes (a bound; the DP keeps only the reachable ones), "
-            "over the int32 code range 2**31 - 1")
     if width_cap is not None and width > width_cap:
         raise CapacityError(f"frontier width {width} exceeds cap {width_cap}")
-    total = REACHABLE_STATES[variant][width - 1]
+    totals = REACHABLE_STATES[variant]
+    total = totals[width - 1] if width <= len(totals) else None
     if total is None or total * length > DP_WORK_CAP:
-        work = (f"frontier width {width} is, even at length {width},"
+        work = (f"frontier width {width} is past REACHABLE_STATES "
+                f"(widths 1-{len(totals)}): even its square is"
                 if total is None else f"{total} reachable frontier states x "
                 f"{length} columns = {total * length} (state, cell) pairs,")
         raise CapacityError(f"{work} over DP_WORK_CAP = {DP_WORK_CAP}")

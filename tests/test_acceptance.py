@@ -161,9 +161,9 @@ def test_criterion_6_exact_dp_16x16_meets_formula():
 def test_dp_log_bounded_by_work_cap_at_wide_widths():
     """The witness log bound of test_dp_log_bounded_by_work_cap at the widths
     whose tables take seconds to build, with their longest admissible
-    lengths and logs in MB; every wider width within the int32 code range
-    is refused at its own square, before any search, so no solve there
-    keeps a log. Each cold build checks its search against the width's
+    lengths and logs in MB; every wider width, past REACHABLE_STATES, is
+    refused at its own square, before any search, so no solve there keeps
+    a log. Each cold build checks its search against the width's
     REACHABLE_STATES entry."""
     t0 = time.perf_counter()
     found = {(variant, width): longest_admissible_log(variant, width)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import griddom
-from griddom import (GridDims, Vertex, construct, gamma_formula,
+from griddom import (GridDims, Vertex, construct, coverage_map, gamma_formula,
                      pattern_class, verify_pattern)
 from griddom.construction import (FIRST_ROW, FRAME_KEYS, MAX_SIDE, SIDES,
                                   PatternSet, _entry, build)
@@ -66,22 +66,33 @@ def test_black_disks_row_major_and_bounds():
     assert all(1 <= r <= dims.m and 1 <= c <= dims.n for r, c in disks)
 
 
+def on_row(rc, r):
+    """The members of a row-major (k, 2) array that lie on row r."""
+    return [tuple(v) for v in rc[rc[:, 0] == r].tolist()]
+
+
+def on_col(rc, c):
+    """The members of a row-major (k, 2) array that lie on column c."""
+    return [tuple(v) for v in rc[rc[:, 1] == c].tolist()]
+
+
 def test_white_squares_first_row_examples():
-    assert construct(GridDims(16, 16)).tags["FR"] == ((1, 2), (1, 8), (1, 14))
-    assert construct(GridDims(16, 18)).tags["FR"] == ((1, 5), (1, 10), (1, 16))
+    assert on_row(construct(GridDims(16, 16)).white_rc, 1) == [(1, 2), (1, 8), (1, 14)]
+    assert on_row(construct(GridDims(16, 18)).white_rc, 1) == [(1, 5), (1, 10), (1, 16)]
     # n = 20: the length-S-1 run {9, 14, 19} plus the fixed extra at 3
-    assert construct(GridDims(20, 20)).tags["FR"] == ((1, 3), (1, 9), (1, 14), (1, 19))
+    assert on_row(construct(GridDims(20, 20)).white_rc, 1) == [
+        (1, 3), (1, 9), (1, 14), (1, 19)]
 
 
 def test_white_squares_sides_examples():
-    assert construct(GridDims(16, 16)).tags["FC"] == ((3, 1), (9, 1), (15, 1))
-    p = construct(GridDims(20, 20))
-    assert p.tags["LR"] == ((20, 2), (20, 7), (20, 12), (20, 18))
+    assert on_col(construct(GridDims(16, 16)).white_rc, 1) == [(3, 1), (9, 1), (15, 1)]
+    w = construct(GridDims(20, 20)).white_rc
+    assert on_row(w, 20) == [(20, 2), (20, 7), (20, 12), (20, 18)]
     # class (0,0): the first-column extra sits at row m-2 (DEV-FIX-00)
-    assert p.tags["FC"] == ((2, 1), (7, 1), (12, 1), (18, 1))
+    assert on_col(w, 1) == [(2, 1), (7, 1), (12, 1), (18, 1)]
     # class (1,4): the last-column extra sits at row m-1 (DEV-FIX-14)
-    assert construct(GridDims(24, 21)).tags["LC"] == (
-        (2, 21), (8, 21), (13, 21), (18, 21), (23, 21))
+    assert on_col(construct(GridDims(24, 21)).white_rc, 21) == [
+        (2, 21), (8, 21), (13, 21), (18, 21), (23, 21)]
 
 
 def test_white_squares_on_boundary():
@@ -126,13 +137,10 @@ def test_numpy_sides_build_the_int_grid():
     assert gamma_formula(GridDims(np.int32(50000), np.int32(50000))) == 500039996
 
 
-def test_construct_black_white_disjoint_and_tagged():
+def test_construct_black_white_disjoint():
     for dims in (GridDims(16, 16), GridDims(24, 20), GridDims(33, 47)):
         p = construct(dims)
-        black, white = set(p.black), set(p.white)
-        assert not black & white
-        assert set().union(*map(set, (p.tags[k] for k in "FML"))) == black
-        assert set().union(*map(set, (p.tags[k] for k in ("FR", "FC", "LC", "LR")))) == white
+        assert not set(p.black) & set(p.white)
 
 
 def test_construct_composes_the_operations():
@@ -201,8 +209,9 @@ def test_every_class_builds_direct():
             p = construct(dims)
             ids, edit = class_edit(pattern_class(dims))
             black, white = build(dims, edit)
+            assert white.dtype == np.int32 and white.shape == (len(white), 2)
             assert np.array_equal(p.black_rc, black), (m, n)
-            assert np.array_equal(p.white_rc, sorted(white)), (m, n)
+            assert p.white_rc.tolist() == sorted(white.tolist()), (m, n)
             assert p.deviations == ids, (m, n)
 
 
@@ -267,8 +276,8 @@ def test_edge_row_disk_column_ranges():
         for n in range(16, 36):
             dims = GridDims(m, n)
             p = construct(dims)
-            first = [c for r, c in p.tags["F"]]
-            last = [c for r, c in p.tags["L"]]
+            first = [c for _, c in on_row(p.black_rc, 1)]
+            last = [c for _, c in on_row(p.black_rc, m)]
             assert all(3 <= c <= n - 2 for c in first), (m, n)
             lo = class_edit(pattern_class(dims))[1].get("last_row_from", 3)
             assert all(lo <= c <= n - 2 for c in last), (m, n)
@@ -304,6 +313,24 @@ def test_pattern_set_enforces_its_invariants():
     with pytest.raises(ValueError, match="integer pairs"):
         PatternSet(d, [(1, 2, 3)], ())
     assert PatternSet(d, (), ()).cardinality == 0
+
+
+def test_pair_lists_refuse_bool_coordinates():
+    # numpy reads True beside ints as 1, which stored the member (1, 2)
+    d = GridDims(16, 16)
+    with pytest.raises(ValueError, match=r"member \(True, 2\) has a bool coordinate"):
+        PatternSet(d, [(True, 2)], [])
+    with pytest.raises(ValueError, match="bool coordinate"):
+        PatternSet(d, [], [(3, np.True_)])
+    with pytest.raises(ValueError, match="bool coordinate"):
+        coverage_map(d, [(1, True)])
+    with pytest.raises(ValueError, match="bool coordinate"):
+        PatternSet(d, [(1, 2), Vertex(3, 4), [5, False]], [])
+    # items that are not pairs are still refused, for their shape or as ragged
+    for bad in ([1, 2], [(1, 2, 3)], [(1, 2), (3,)], [(1, 2), 3]):
+        with pytest.raises(ValueError):
+            coverage_map(d, bad)
+    assert PatternSet(d, [(1, 2), Vertex(3, 4), np.array([5, 6])], []).cardinality == 3
 
 
 def test_pattern_set_compares_by_identity():

@@ -260,14 +260,17 @@ def test_dp_width_caps():
 
 
 def test_dp_width_ceiling_refuses_before_any_table(capsys):
-    """Frontier codes are int32, so domination at width 20 (3**20 codes) and
-    [1,2] at width 16 (4**16) are refused before any table is built, under
-    any width cap; the widest widths within int32, domination 19 and [1,2]
-    15, pass on to the next check."""
-    for variant, width in (("domination", 20), ("one-two", 16)):
+    """A width past its variant's REACHABLE_STATES is refused before any
+    table is built, under a width cap that admits it: the first such
+    widths, domination 17 and [1,2] 15, and domination 20 and [1,2] 16,
+    whose 3**20 and 4**16 codes are past the int32 range too. A width cap
+    below the width refuses first."""
+    for variant, width in (("domination", 17), ("domination", 20),
+                           ("one-two", 15), ("one-two", 16)):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="int32 code range"):
+            with pytest.raises(CapacityError,
+                               match=f"frontier width {width} is past REACHABLE_STATES"):
                 exact_gamma_dp(GridDims(width, width), variant, width_cap=width)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -277,8 +280,9 @@ def test_dp_width_ceiling_refuses_before_any_table(capsys):
                      "--n", str(width)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "int32 code range 2**31 - 1" in captured.err
-    for variant, width in (("domination", 19), ("one-two", 15)):
+        assert f"frontier width {width} is past REACHABLE_STATES" in captured.err
+    for variant, width in (("domination", 19), ("domination", 20),
+                           ("one-two", 15), ("one-two", 16)):
         with pytest.raises(CapacityError, match=f"width {width} exceeds cap"):
             exact_gamma_dp(GridDims(width, width), variant, width_cap=width - 1)
 
@@ -293,20 +297,21 @@ def forbid_search(monkeypatch):
 
 
 def test_reachable_states_table_covers_the_int32_widths():
-    """REACHABLE_STATES has one entry per width within the int32 code range,
-    19 for domination and 15 for [1,2]. An entry is None exactly where the
-    width's own square is over DP_WORK_CAP, domination 17-19 and [1,2] 15,
-    and every other entry admits its square."""
+    """REACHABLE_STATES lists exactly the widths whose own square
+    DP_WORK_CAP admits, domination 1-16 and [1,2] 1-14 (at the next width
+    the search passed DP_WORK_CAP // w states). Every listed width keeps
+    its B**w frontier codes within int32 and admits its square, and the
+    totals grow with the width, so a width past the table has more states
+    still."""
     assert oracle.DP_WORK_CAP == 2**30
-    for variant, size, over in (("domination", 19, {17, 18, 19}),
-                                ("one-two", 15, {15})):
+    for variant, size in (("domination", 16), ("one-two", 14)):
         totals = oracle.REACHABLE_STATES[variant]
         base = oracle._RULES[variant][0].size
         assert len(totals) == size
-        assert base ** size <= 2**31 - 1 < base ** (size + 1)
-        assert {w for w, t in enumerate(totals, 1) if t is None} == over
-        assert all(t * w <= oracle.DP_WORK_CAP
-                   for w, t in enumerate(totals, 1) if t is not None)
+        assert all(type(t) is int for t in totals)
+        assert all(base ** w <= 2**31 - 1 for w in range(1, size + 1))
+        assert all(t * w <= oracle.DP_WORK_CAP for w, t in enumerate(totals, 1))
+        assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
 def test_dp_cold_build_checks_its_reachable_states_entry(monkeypatch):
@@ -622,8 +627,15 @@ def test_one_two_10x10_value():
 
 
 def test_dp_capacity_message_names_a_bound():
-    # the DP holds only the reachable frontier states, so the dense count
-    # 3**20 is reported as a bound on the codes
-    with pytest.raises(CapacityError, match="3486784401 frontier codes") as exc:
+    # each refusal names the bound it is over: the table's widths and
+    # DP_WORK_CAP past the table, the work and DP_WORK_CAP within it
+    with pytest.raises(CapacityError) as exc:
         exact_gamma_dp(GridDims(20, 20))
-    assert "states per layer" not in str(exc.value)
+    assert str(exc.value) == (
+        "frontier width 20 is past REACHABLE_STATES (widths 1-16): even its "
+        "square is over DP_WORK_CAP = 1073741824")
+    with pytest.raises(CapacityError) as exc:
+        exact_gamma_dp(GridDims(14, 30), "one-two")
+    assert str(exc.value) == (
+        "47631391 reachable frontier states x 30 columns = 1428941730 "
+        "(state, cell) pairs, over DP_WORK_CAP = 1073741824")

@@ -1,13 +1,20 @@
 import dataclasses
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import griddom
 from griddom import (GridDims, OracleResult, construct, count_cross_check,
                      document_to_pattern, dumps_document, exact_gamma_dp,
                      pattern_to_document, render_ascii, render_svg)
@@ -403,6 +410,46 @@ def test_cli_sweep_refuses_grids_over_the_cell_budget(tmp_path, capsys, monkeypa
     assert not out.exists()
     assert "20x21 grid has 420 cells" in capsys.readouterr().err
     assert main(["sweep", "--m-range", "20", "--n-range", "20", "--out", str(out)]) == 0
+
+
+FULL = Path("/dev/full")
+ENOSPC = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not FULL.exists(), reason="needs /dev/full")
+def test_cli_sweep_write_failure_exits_2(capsys):
+    # the CSV's last rows reach the device when the file is closed
+    assert main(["sweep", "--m-range", "16:17", "--n-range", "16:17",
+                 "--out", str(FULL)]) == 2
+    assert capsys.readouterr().err == ENOSPC
+
+
+def test_cli_write_failure_exits_2(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["construct", "--m", "16", "--n", "16"]) == 2
+    assert main(["verify", "--m", "20", "--n", "20"]) == 2
+    assert capsys.readouterr().err == 2 * ENOSPC
+
+
+@pytest.mark.skipif(not FULL.exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_stdout_to_a_full_device_exits_2(unbuffered):
+    # with stdout buffered the write fails only when it is flushed, which
+    # would otherwise happen at interpreter exit (exit status 120)
+    src = str(Path(griddom.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with FULL.open("w") as full:
+        out = subprocess.run([sys.executable, "-m", "griddom.cli", "construct",
+                              "--m", "16", "--n", "16"], stdout=full, env=env,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (2, ENOSPC)
 
 
 def test_cli_bench(capsys):
